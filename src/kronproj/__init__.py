@@ -6,6 +6,7 @@ from .errors import (
     DimensionError,
     GridDomainError,
     IllConditionedError,
+    InvariantError,
     KronprojError,
     NotPSDError,
     NotSymmetricError,

@@ -25,6 +25,10 @@ class IllConditionedError(KronprojError):
     """
 
 
+class InvariantError(KronprojError):
+    """A maintained structure broke one of its invariants."""
+
+
 class RankDeficiencyError(KronprojError):
     """Constraint rows are not linearly independent."""
 

@@ -153,8 +153,7 @@ def gen_drift_sequence(cfg):
 
 
 def random_orthogonal(n, rng):
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q * np.sign(np.diag(R))
+    return random_orthogonal_from(rng.standard_normal((n, n)))
 
 
 def random_constraints(m, n, rng):

@@ -139,11 +139,25 @@ def sym_eigen(W, sym_tol=SYMMETRY_TOL):
     return EigenWeight(basis=U[:, order], eigvals=lam[order])
 
 
+def _guard(rcond, cond_bound, what):
+    """The condition guard shared by every solve in the package.
+
+    ``rcond`` is LAPACK's reciprocal condition estimate (1-norm) read from
+    the factorization the solve already made; a NaN, zero or too small
+    estimate raises :class:`IllConditionedError`.
+    """
+    if not rcond * cond_bound >= 1.0:
+        raise IllConditionedError(
+            f"{what}: reciprocal condition estimate {rcond:.2e} is below "
+            f"1/{cond_bound:.0e}"
+        )
+
+
 def solve_spd(A, B, cond_bound=CONDITION_BOUND):
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
     Raises :class:`NotPSDError` if the factorization fails and
-    :class:`IllConditionedError` if the condition estimate exceeds
+    :class:`IllConditionedError` if the ``pocon`` condition estimate exceeds
     ``cond_bound``; both are signals to recompute upstream state.
     """
     A = np.asarray(A, dtype=float)
@@ -157,24 +171,47 @@ def solve_spd(A, B, cond_bound=CONDITION_BOUND):
         c, low = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPSDError(f"solve_spd: Cholesky failed ({exc})") from exc
-    d = np.diag(c)
-    # Squared diagonal ratio of the Cholesky factor bounds kappa from below
-    # and is essentially free; fall back on it as the guard.
-    cond_est = (np.max(d) / np.min(d)) ** 2
-    if not np.isfinite(cond_est) or cond_est > cond_bound:
-        raise IllConditionedError(
-            f"solve_spd: condition estimate {cond_est:.2e} exceeds {cond_bound:.0e}"
-        )
+    rcond, _ = scipy.linalg.lapack.dpocon(c, np.linalg.norm(A, 1), uplo="L")
+    _guard(rcond, cond_bound, "solve_spd")
     return scipy.linalg.cho_solve((c, low), B, check_finite=False)
+
+
+def _lu_guarded(A, cond_bound, what):
+    """LU factors (getrf) of a square A that passed the ``gecon`` guard."""
+    lu, piv, info = scipy.linalg.lapack.dgetrf(A)
+    # info > 0: an exactly zero pivot, so A is singular
+    rcond = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(A, 1))[0] if info == 0 else 0.0
+    _guard(rcond, cond_bound, what)
+    return lu, piv
+
+
+def woodbury_correction(AiU, C, VAiU, R, cond_bound=CONDITION_BOUND):
+    """The Woodbury correction term A^{-1}U C (I + V A^{-1}U C)^{-1} R.
+
+    With R = V A^{-1} this is what (A + U C V)^{-1} subtracts from A^{-1};
+    with R = V A^{-1} x it is the correction applied to A^{-1} x.  ``C`` is
+    k x k, or its diagonal as a length-k vector.  C is never inverted, so
+    tiny or zero entries are fine; the inner matrix I + V A^{-1}U C goes
+    through the condition guard and raises :class:`IllConditionedError`.
+    """
+    C = np.asarray(C, dtype=float)
+    if C.ndim == 1:
+        inner = np.eye(C.size) + VAiU * C[None, :]
+    else:
+        inner = np.eye(C.shape[0]) + VAiU @ C
+    lu, piv = _lu_guarded(inner, cond_bound, "woodbury inner matrix")
+    Y = scipy.linalg.lapack.dgetrs(lu, piv, np.asarray(R, dtype=float))[0]
+    CY = (C * Y.T).T if C.ndim == 1 else C @ Y
+    return AiU @ CY
 
 
 def woodbury_update(A_inv, Umat, C, V, cond_bound=CONDITION_BOUND):
     """Low-rank inverse update (A + U C V)^{-1} from A^{-1}.
 
-    Evaluates A^{-1} - A^{-1} U (C^{-1} + V A^{-1} U)^{-1} V A^{-1}.  Both C
-    and the inner matrix must be invertible within the condition guard;
-    violations raise :class:`IllConditionedError` so callers can fall back
-    to a full recompute.
+    Evaluates A^{-1} - :func:`woodbury_correction`.  Both C and the inner
+    matrix must be invertible within the condition guard; violations raise
+    :class:`IllConditionedError` so callers can fall back to a full
+    recompute.
     """
     A_inv = np.asarray(A_inv, dtype=float)
     Umat = np.atleast_2d(np.asarray(Umat, dtype=float))
@@ -187,15 +224,6 @@ def woodbury_update(A_inv, Umat, C, V, cond_bound=CONDITION_BOUND):
             f"woodbury_update: A_inv {A_inv.shape}, U {Umat.shape}, "
             f"C {C.shape}, V {V.shape} do not conform"
         )
-    cond_C = np.linalg.cond(C)
-    if not np.isfinite(cond_C) or cond_C > cond_bound:
-        raise IllConditionedError(f"woodbury_update: C condition {cond_C:.2e}")
+    _lu_guarded(C, cond_bound, "woodbury_update: C")
     AiU = A_inv @ Umat
-    inner = np.linalg.inv(C) + V @ AiU
-    cond_inner = np.linalg.cond(inner)
-    if not np.isfinite(cond_inner) or cond_inner > cond_bound:
-        raise IllConditionedError(
-            f"woodbury_update: inner matrix condition {cond_inner:.2e}"
-        )
-    VAi = V @ A_inv
-    return A_inv - AiU @ np.linalg.solve(inner, VAi)
+    return A_inv - woodbury_correction(AiU, C, V @ AiU, V @ A_inv, cond_bound)

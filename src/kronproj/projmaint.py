@@ -23,6 +23,7 @@ from . import kronlinalg
 from .errors import (
     DimensionError,
     IllConditionedError,
+    InvariantError,
     NotPSDError,
     ParameterError,
     RankDeficiencyError,
@@ -32,7 +33,6 @@ from .kronlinalg import (
     EigenWeight,
     kron_apply,
     kron_diag,
-    unvec,
     vec,
 )
 from .sketch import SketchBatch, SketchFamily
@@ -145,28 +145,6 @@ def kron_apply_block(A, B, X):
     return Y.transpose(1, 0, 2).reshape(B.shape[0] * A.shape[0], k, order="F")
 
 
-def incremental_qp(Q, P, M_old, M_new, lam_old, lam_hat, U, RT):
-    """Low-rank correction of the sketched products for a fixed pool.
-
-    Given the maintained Q, P consistent with (M_old, lam_old) and the
-    sketch stack R^T, returns the pair consistent with (M_new, lam_hat)
-    by applying the incremental correction terms instead of recomputing
-    from scratch.  Only valid when RT is the same pool Q and P were built
-    against.
-    """
-    khalf_old = kron_diag(np.sqrt(lam_old), np.sqrt(lam_old))
-    khalf_new = kron_diag(np.sqrt(lam_hat), np.sqrt(lam_hat))
-    gamma = khalf_new - khalf_old
-    W1 = kron_apply_block(U.T, U.T, RT)
-    Q_new = Q + M_new @ (gamma[:, None] * W1) + (M_new - M_old) @ (khalf_old[:, None] * W1)
-    P_new = (
-        P
-        + kron_apply_block(U, U, gamma[:, None] * Q_new)
-        + kron_apply_block(U, U, khalf_old[:, None] * (Q_new - Q))
-    )
-    return Q_new, P_new
-
-
 class MaintainedProjection:
     """Projection maintenance with lazy eigenvalue updates and sketched queries.
 
@@ -217,14 +195,6 @@ class MaintainedProjection:
         self.lam_tilde = self.lam.copy()
         self._last_external = self.lam.copy()
 
-        # G = A (U (x) U), built row-wise as vec(U^T A_i U)
-        n = self.n
-        G = np.empty_like(constraints.matrix)
-        for i in range(self.m):
-            Ai = unvec(constraints.matrix[i], n)
-            G[i] = vec(self.basis.T @ Ai @ self.basis)
-        self.G = G
-
         self.counters = {
             "updates": 0,
             "queries": 0,
@@ -234,12 +204,18 @@ class MaintainedProjection:
         }
         self._cum_rank = 0
         self._updates_since_build = 0
-        self._last_pg = None
-
-        self.M = self._compute_core(self.lam)
-        self._install_pool()
+        self._build()
 
     # -- internal construction helpers ------------------------------------
+
+    def _build(self):
+        """G = A (U (x) U) from the constraints, M at lam and a fresh pool."""
+        # row i of G is vec(U^T A_i U) = (U^T (x) U^T) vec(A_i)
+        UT = self.basis.T
+        self.G = np.ascontiguousarray(kron_apply_block(UT, UT, self.constraints.matrix.T).T)
+        self._last_pg = None
+        self.M = self._compute_core(self.lam)
+        self._install_pool()
 
     def _compute_core(self, lam):
         """From-scratch M = G^T (G (L (x) L) G^T)^{-1} G at the given lam."""
@@ -315,16 +291,24 @@ class MaintainedProjection:
         self._last_external = lam_ext
         return self.lam_tilde.copy()
 
+    def _kron_change(self, lam_new, changed):
+        """Flat indices and values where kron_diag(lam_new) - kron_diag(lam) != 0.
+
+        ``changed`` lists the eigenvalue indices where lam_new differs from
+        the maintained lam.
+        """
+        S_tilde = expand_index_set(changed, self.n)
+        dsub = (kron_diag(lam_new, lam_new) - kron_diag(self.lam, self.lam))[S_tilde]
+        nz = dsub != 0.0
+        return S_tilde[nz], dsub[nz]
+
     def _apply_eig_change(self, lam_hat, changed):
         """Move the maintained core to lam_hat; returns the applied rank."""
         n = self.n
         if changed.size == 0:
             self.lam = lam_hat
             return 0
-        S_tilde = expand_index_set(changed, n)
-        dsub = (kron_diag(lam_hat, lam_hat) - kron_diag(self.lam, self.lam))[S_tilde]
-        nz = dsub != 0.0
-        S_tilde, dsub = S_tilde[nz], dsub[nz]
+        S_tilde, dsub = self._kron_change(lam_hat, changed)
         k = int(S_tilde.size)
         self._updates_since_build += 1
         if (
@@ -333,32 +317,19 @@ class MaintainedProjection:
         ):
             self._rebuild(lam_hat)
             return k
+        # M <- M - M_{*,S} D (I + M_{S,S} D)^{-1} M_{*,S}^T with D = diag(dsub)
+        Msub = self.M[:, S_tilde]
         try:
-            self.M = self._woodbury_core(self.M, S_tilde, dsub)
-            self.lam = lam_hat
-            self._cum_rank += k
+            M = self.M - kronlinalg.woodbury_correction(
+                Msub, dsub, Msub[S_tilde], Msub.T, CONDITION_BOUND
+            )
         except IllConditionedError:
             self._rebuild(lam_hat)
+            return k
+        self.M = 0.5 * (M + M.T)
+        self.lam = lam_hat
+        self._cum_rank += k
         return k
-
-    @staticmethod
-    def _woodbury_core(M, S_tilde, dsub, cond_bound=CONDITION_BOUND):
-        """M - M_{*,S} (D^{-1} + M_{S,S})^{-1} M_{*,S}^T for diagonal D.
-
-        Uses the algebraically equal form D (I + M_{S,S} D)^{-1} for the
-        inner inverse so tiny diagonal entries never get inverted.
-        """
-        Msub = M[:, S_tilde]
-        MSS = M[np.ix_(S_tilde, S_tilde)]
-        inner = np.eye(S_tilde.size) + MSS * dsub[None, :]
-        cond = np.linalg.cond(inner)
-        if not np.isfinite(cond) or cond > cond_bound:
-            raise IllConditionedError(
-                f"projection update: inner condition {cond:.2e}"
-            )
-        Y = np.linalg.solve(inner, Msub.T)
-        M_new = M - Msub @ (dsub[:, None] * Y)
-        return 0.5 * (M_new + M_new.T)
 
     def query(self, h):
         """Sketched projection query; returns p_l for the next pool sketch.
@@ -367,10 +338,7 @@ class MaintainedProjection:
         R_l^T R_l h, where R_l is the sketch at the cursor.  Consumes one
         sketch; the pool is regenerated (and Q, P rebuilt) on exhaustion.
         """
-        h = np.asarray(h, dtype=float)
-        n = self.n
-        if h.shape != (n * n,):
-            raise DimensionError(f"query: expected vector of length {n * n}")
+        h = self._query_vector(h, "query")
         l = self.cursor
         RT_block = self._RT[:, l * self.b : (l + 1) * self.b]
         rh = RT_block.T @ h
@@ -383,39 +351,28 @@ class MaintainedProjection:
         return p_l
 
     def _project_sketched(self, v, l, rh):
-        n = self.n
-        khalf = kron_diag(np.sqrt(self.lam), np.sqrt(self.lam))
         khalf_t = kron_diag(np.sqrt(self.lam_tilde), np.sqrt(self.lam_tilde))
-        gamma_t = khalf_t - khalf
-        w = kron_apply(self.basis.T, self.basis.T, v)
         t1 = self.Q[:, l * self.b : (l + 1) * self.b] @ rh
+        self._last_pg = np.zeros(self.n * self.n)
         changed = np.flatnonzero(self.lam_tilde != self.lam)
         if changed.size:
-            t1 = t1 + self.M @ (gamma_t * w)
-            S_tilde = expand_index_set(changed, n)
-            dsub = (
-                kron_diag(self.lam_tilde, self.lam_tilde)
-                - kron_diag(self.lam, self.lam)
-            )[S_tilde]
-            nz = dsub != 0.0
-            S_tilde, dsub = S_tilde[nz], dsub[nz]
-        else:
-            S_tilde = np.zeros(0, dtype=int)
-        p_g = np.zeros(n * n)
-        if S_tilde.size:
-            MSS = self.M[np.ix_(S_tilde, S_tilde)]
-            inner = np.eye(S_tilde.size) + MSS * dsub[None, :]
-            cond = np.linalg.cond(inner)
-            if not np.isfinite(cond) or cond > CONDITION_BOUND:
-                # recoverable: answer from scratch at lam_tilde instead
-                self.counters["query_fallbacks"] += 1
-                self._last_pg = None
-                return self._project_exact(v)
-            u1 = t1[S_tilde]
-            core = dsub * np.linalg.solve(inner, u1)
-            p_g = kron_apply(self.basis, self.basis, khalf_t * (self.M[:, S_tilde] @ core))
-        self._last_pg = p_g
-        return kron_apply(self.basis, self.basis, khalf_t * t1) - p_g
+            khalf = kron_diag(np.sqrt(self.lam), np.sqrt(self.lam))
+            w = kron_apply(self.basis.T, self.basis.T, v)
+            t1 = t1 + self.M @ ((khalf_t - khalf) * w)
+            S_tilde, dsub = self._kron_change(self.lam_tilde, changed)
+            if S_tilde.size:
+                Msub = self.M[:, S_tilde]
+                try:
+                    core = kronlinalg.woodbury_correction(
+                        Msub, dsub, Msub[S_tilde], t1[S_tilde], CONDITION_BOUND
+                    )
+                except IllConditionedError:
+                    # recoverable: answer from scratch at lam_tilde instead
+                    self.counters["query_fallbacks"] += 1
+                    self._last_pg = None
+                    return self._project_exact(v)
+                self._last_pg = kron_apply(self.basis, self.basis, khalf_t * core)
+        return kron_apply(self.basis, self.basis, khalf_t * t1) - self._last_pg
 
     def _project_exact(self, x):
         """Exact projection at lam_tilde applied to x, from scratch."""
@@ -428,10 +385,15 @@ class MaintainedProjection:
 
     def query_exactish(self, h):
         """Unsketched reference path: the projection at lam_tilde times h."""
+        return self._project_exact(self._query_vector(h, "query_exactish"))
+
+    def _query_vector(self, h, what):
         h = np.asarray(h, dtype=float)
         if h.shape != (self.n * self.n,):
-            raise DimensionError(f"query_exactish: expected length {self.n * self.n}")
-        return self._project_exact(h)
+            raise DimensionError(f"{what}: expected vector of length {self.n * self.n}")
+        if not np.all(np.isfinite(h)):
+            raise ParameterError(f"{what}: entries must be finite")
+        return h
 
     @property
     def last_query_pg(self):
@@ -441,18 +403,27 @@ class MaintainedProjection:
     # -- introspection ------------------------------------------------------
 
     def check_invariants(self, atol_scale=1.0):
-        """Assert the structural invariants; intended for tests and debugging."""
+        """Check the structural invariants; intended for tests and debugging.
+
+        Raises :class:`InvariantError` naming the first one that fails; the
+        checks also run under ``python -O``.
+        """
+
+        def require(ok, what):
+            if not ok:
+                raise InvariantError(f"check_invariants: {what}")
+
         n = self.n
-        assert np.all(self.lam >= self.eig_floor)
-        assert self.cursor < self.s
-        mn = np.linalg.norm(self.M, "fro")
-        assert np.linalg.norm(self.M - self.M.T, "fro") <= 1e-8 * mn * atol_scale
+        require(np.all(self.lam >= self.eig_floor), "lam below eig_floor")
+        require(self.cursor < self.s, "pool cursor past the last sketch")
+        tol = np.linalg.norm(self.M, "fro") * atol_scale
+        require(np.linalg.norm(self.M - self.M.T, "fro") <= 1e-8 * tol, "M not symmetric")
         if n <= 8:
             kk = kron_diag(self.lam, self.lam)
             resid = self.M @ (kk[:, None] * self.M) - self.M
-            assert np.linalg.norm(resid, "fro") <= 1e-7 * mn * atol_scale
+            require(np.linalg.norm(resid, "fro") <= 1e-7 * tol, "M (L (x) L) M != M")
         ratio = np.abs(np.log(self._last_external) - np.log(self.lam_tilde))
-        assert np.max(ratio) <= self.eps_mp / 2.0 + 1e-12
+        require(np.max(ratio) <= self.eps_mp / 2.0 + 1e-12, "lam_tilde beyond eps_mp / 2")
 
     def counters_dict(self):
         out = dict(self.counters)
@@ -510,17 +481,9 @@ class MaintainedProjection:
         obj.lam = np.asarray(snap["lam"], dtype=float)
         obj.lam_tilde = np.asarray(snap["lam_tilde"], dtype=float)
         obj._last_external = np.asarray(snap["last_external"], dtype=float)
-        n = obj.n
-        G = np.empty_like(obj.constraints.matrix)
-        for i in range(obj.m):
-            Ai = unvec(obj.constraints.matrix[i], n)
-            G[i] = vec(obj.basis.T @ Ai @ obj.basis)
-        obj.G = G
         obj.counters = dict(snap["counters"])
         obj._cum_rank = snap["cum_rank"]
         obj._updates_since_build = snap["updates_since_build"]
-        obj._last_pg = None
-        obj.M = obj._compute_core(obj.lam)
-        obj._install_pool()
+        obj._build()
         obj.cursor = snap["cursor"]
         return obj

@@ -171,8 +171,12 @@ class TestSolveSPD:
             kl.solve_spd(np.diag([1.0, -1.0]), np.eye(2))
 
     def test_rejects_ill_conditioned(self):
-        with pytest.raises(IllConditionedError):
-            kl.solve_spd(np.diag([1.0, 1e-14]), np.eye(2))
+        # unit lower-triangular L with -1 below the diagonal: every Cholesky
+        # pivot is 1, yet kappa(L L^T) is about 7e17 at n = 30
+        L = np.eye(30) - np.tril(np.ones((30, 30)), -1)
+        for A in (np.diag([1.0, 1e-14]), L @ L.T):
+            with pytest.raises(IllConditionedError):
+                kl.solve_spd(A, np.ones(A.shape[0]))
 
 
 class TestWoodbury:
@@ -213,6 +217,31 @@ class TestWoodbury:
             step = kl.woodbury_update(A_inv, U, C, V)
             back = kl.woodbury_update(step, U, -C, V)
             assert np.linalg.norm(back - A_inv) <= 1e-8 * np.linalg.norm(A_inv)
+
+    def test_kernel_diagonal_c_matches_dense(self):
+        # C holds entries that C^{-1} + V A^{-1} U could not take: ~1e-20 and 0
+        rng = rng_for(12)
+        n, k = 7, 4
+        A = rng.standard_normal((n, n)) + n * np.eye(n)
+        A_inv = np.linalg.inv(A)
+        U = rng.standard_normal((n, k))
+        V = rng.standard_normal((k, n))
+        d = np.array([2.0, 1e-20, 0.0, -3e-20])
+        AiU = A_inv @ U
+        x = rng.standard_normal(n)
+        for R in (V @ A_inv, V @ A_inv @ x):
+            got = kl.woodbury_correction(AiU, d, V @ AiU, R)
+            want = kl.woodbury_correction(AiU, np.diag(d), V @ AiU, R)
+            npt.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        direct = np.linalg.inv(A + U @ np.diag(d) @ V)
+        npt.assert_allclose(A_inv @ x - got, direct @ x, rtol=1e-10)
+
+    def test_kernel_rejects_singular_inner(self):
+        # I + V A^{-1} U C for C = I: exactly singular, then nearly singular,
+        # neither symmetric
+        for VAiU in ([[-1.0, 2.0], [0.0, 0.0]], [[0.0, 2.0], [1.0, 1.0 + 1e-14]]):
+            with pytest.raises(IllConditionedError):
+                kl.woodbury_correction(np.ones((3, 2)), np.eye(2), np.array(VAiU), np.ones((2, 3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

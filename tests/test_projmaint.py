@@ -1,26 +1,30 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import kronproj
 from kronproj import oracle
-from kronproj.errors import DimensionError, ParameterError, RankDeficiencyError
+from kronproj.errors import (
+    DimensionError,
+    InvariantError,
+    ParameterError,
+    RankDeficiencyError,
+)
+from kronproj.harness import random_orthogonal
 from kronproj.kronlinalg import EigenWeight, kron_diag, vec
 from kronproj.projmaint import (
     ConstraintBatch,
     MaintainedProjection,
     expand_index_set,
-    incremental_qp,
     kron_apply_block,
     soft_threshold,
 )
 from kronproj.sketch import SketchFamily
-
-
-def random_orthogonal(n, rng):
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q * np.sign(np.diag(R))
 
 
 def make_state(n, m, seed, eps_mp=0.05, a_exp=0.5, s=4, b=16, **kw):
@@ -305,6 +309,33 @@ class TestUpdate:
             mp.update(EigenWeight(U, lam))
             mp.check_invariants()
 
+    def test_broken_symmetry_raises_even_under_O(self):
+        mp, _, _, _ = make_state(4, 6, seed=16)
+        mp.M[0, 1] += 1.0
+        with pytest.raises(InvariantError, match="symmetric"):
+            mp.check_invariants()
+        script = (
+            "import numpy as np\n"
+            "from kronproj.errors import InvariantError\n"
+            "from kronproj.kronlinalg import EigenWeight\n"
+            "from kronproj.projmaint import ConstraintBatch, MaintainedProjection\n"
+            "rng = np.random.default_rng(0)\n"
+            "cons = ConstraintBatch(matrix=rng.standard_normal((6, 16)), n=4)\n"
+            "mp = MaintainedProjection(cons, EigenWeight(np.eye(4), np.ones(4)))\n"
+            "mp.M[0, 1] += 1.0\n"
+            "try:\n"
+            "    mp.check_invariants()\n"
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(kronproj.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_lazy_branch_soundness(self):
         # while updates stay lazy, the deferred support |{i: lt_i != lam_i}|
         # stays below n^a_exp plus previously deferred coordinates
@@ -402,6 +433,16 @@ class TestQuery:
         with pytest.raises(DimensionError):
             mp.query(np.ones(8))
 
+    def test_non_finite_h_rejected(self):
+        mp, _, _, _ = make_state(3, 4, seed=22)
+        for bad in (np.nan, np.inf):
+            h = np.ones(9)
+            h[4] = bad
+            for call in (mp.query, mp.query_exactish):
+                with pytest.raises(ParameterError):
+                    call(h)
+        assert mp.cursor == 0 and mp.counters["queries"] == 0
+
     def test_condition_fallback_still_exact(self, monkeypatch):
         # force the inner-solve guard to trip: the query falls back to the
         # from-scratch path, counts the event, and stays oracle-exact
@@ -442,22 +483,6 @@ class TestQueryExactish:
         h = rng.standard_normal(16)
         want = oracle.exact_projection(cons, (U * lt) @ U.T) @ h
         npt.assert_allclose(mp.query_exactish(h), want, atol=1e-8)
-
-
-class TestIncrementalQP:
-    def test_patch_equals_recompute_for_fixed_pool(self):
-        mp, cons, U, rng = make_state(4, 6, seed=26)
-        RT = mp._RT.copy()
-        Q0, P0, M0, lam0 = mp.Q.copy(), mp.P.copy(), mp.M.copy(), mp.lam.copy()
-        lam_hat = lam0 * np.exp(rng.uniform(-0.3, 0.3, 4))
-        M_new = oracle_core(cons, U, lam_hat)
-        Q_patch, P_patch = incremental_qp(Q0, P0, M0, M_new, lam0, lam_hat, U, RT)
-        kh = np.sqrt(kron_diag(lam_hat, lam_hat))
-        W1 = kron_apply_block(U.T, U.T, RT)
-        Q_ref = M_new @ (kh[:, None] * W1)
-        P_ref = kron_apply_block(U, U, kh[:, None] * Q_ref)
-        npt.assert_allclose(Q_patch, Q_ref, atol=1e-9)
-        npt.assert_allclose(P_patch, P_ref, atol=1e-9)
 
 
 class TestSnapshot:
