@@ -139,6 +139,41 @@ def _spawn_copies(factory, L, seed):
     return copies, rng
 
 
+def _build_wrapper(mode, factory, seed, formula, overrides, beta_key, beta, **head):
+    """Resolve the (q, L) overrides against the ``formula`` values, spawn the
+    copies, and build the wrapper; ``params`` lists ``head`` (the
+    constructor's own arguments) first and ``beta`` under ``beta_key``."""
+    (q_raw, L_raw), (q_override, L_override) = formula, overrides
+    q = int(q_override) if q_override else q_raw
+    L = int(L_override) if L_override else L_raw
+    if not 1 <= q <= L:
+        raise ParameterError(f"need 1 <= q <= L, got q={q}, L={L}")
+    copies, rng = _spawn_copies(factory, L, seed)
+    params = {
+        "mode": mode,
+        **head,
+        "q": q,
+        "L": L,
+        "q_formula": q_raw,
+        "L_formula": L_raw,
+        beta_key: beta,
+        "eps_pm": EPS_PM,
+        "seed": int(seed),
+    }
+    return AdaptiveWrapper(
+        mode=mode,
+        copies=copies,
+        grid=SignedGeometricGrid(head["u_bound"], head["alpha"]),
+        T=head["T"],
+        q=q,
+        delta=head["delta"],
+        median_beta=beta,
+        k=head.get("k", 1),
+        params=params,
+        rng=rng,
+    )
+
+
 def make_norm_wrapper(
     factory,
     T,
@@ -160,38 +195,10 @@ def make_norm_wrapper(
     q_raw, L_raw, delta0 = norm_wrapper_params(
         T, u_bound, alpha, delta, scale, delta0_divisor
     )
-    q = int(q_override) if q_override else q_raw
-    L = int(L_override) if L_override else L_raw
-    if not 1 <= q <= L:
-        raise ParameterError(f"need 1 <= q <= L, got q={q}, L={L}")
-    copies, rng = _spawn_copies(factory, L, seed)
-    grid = SignedGeometricGrid(u_bound, alpha)
-    params = {
-        "mode": NORM_MODE,
-        "T": T,
-        "u_bound": u_bound,
-        "alpha": alpha,
-        "delta": delta,
-        "scale": scale,
-        "delta0_divisor": delta0_divisor,
-        "q": q,
-        "L": L,
-        "q_formula": q_raw,
-        "L_formula": L_raw,
-        "delta0": delta0,
-        "eps_pm": EPS_PM,
-        "seed": int(seed),
-    }
-    return AdaptiveWrapper(
-        mode=NORM_MODE,
-        copies=copies,
-        grid=grid,
-        T=T,
-        q=q,
-        delta=delta,
-        median_beta=delta0,
-        params=params,
-        rng=rng,
+    return _build_wrapper(
+        NORM_MODE, factory, seed, (q_raw, L_raw), (q_override, L_override), "delta0", delta0,
+        T=T, u_bound=u_bound, alpha=alpha, delta=delta, scale=scale,
+        delta0_divisor=delta0_divisor,
     )
 
 
@@ -209,39 +216,9 @@ def make_setquery_wrapper(
 ):
     """Wrap an oblivious set-query estimator for adaptive queries."""
     q_raw, L_raw, beta = setquery_wrapper_params(T, k, u_bound, alpha, delta, scale)
-    q = int(q_override) if q_override else q_raw
-    L = int(L_override) if L_override else L_raw
-    if not 1 <= q <= L:
-        raise ParameterError(f"need 1 <= q <= L, got q={q}, L={L}")
-    copies, rng = _spawn_copies(factory, L, seed)
-    grid = SignedGeometricGrid(u_bound, alpha)
-    params = {
-        "mode": SET_MODE,
-        "T": T,
-        "k": k,
-        "u_bound": u_bound,
-        "alpha": alpha,
-        "delta": delta,
-        "scale": scale,
-        "q": q,
-        "L": L,
-        "q_formula": q_raw,
-        "L_formula": L_raw,
-        "beta": beta,
-        "eps_pm": EPS_PM,
-        "seed": int(seed),
-    }
-    return AdaptiveWrapper(
-        mode=SET_MODE,
-        copies=copies,
-        grid=grid,
-        T=T,
-        q=q,
-        delta=delta,
-        median_beta=beta,
-        k=k,
-        params=params,
-        rng=rng,
+    return _build_wrapper(
+        SET_MODE, factory, seed, (q_raw, L_raw), (q_override, L_override), "beta", beta,
+        T=T, k=k, u_bound=u_bound, alpha=alpha, delta=delta, scale=scale,
     )
 
 

@@ -405,26 +405,20 @@ def run_adaptive_experiment(mode, adversary, params):
     feedback = adversary == "feedback"
     if adversary not in ("oblivious", "feedback"):
         raise ParameterError(f"unknown adversary {adversary!r}")
+    if mode not in (adaptive.NORM_MODE, adaptive.SET_MODE):
+        raise ParameterError(f"unknown mode {mode!r}")
 
     t0 = time.perf_counter()
+    p.setdefault("u_bound", 8.0 if mode == adaptive.NORM_MODE else 2.0)
+    factory, gamma = _make_estimator_factory(p)
+    sizing = dict(scale=float(p.get("scale", 1.0)), seed=seed,
+                  q_override=p.get("q"), L_override=p.get("L"))
+    tol_factor = alpha + gamma + alpha * gamma
+    records = []
+    ok_all = True
     if mode == adaptive.NORM_MODE:
-        p.setdefault("u_bound", 8.0)
-        factory, gamma = _make_estimator_factory(p)
-        wrapper = adaptive.make_norm_wrapper(
-            factory,
-            T,
-            p["u_bound"],
-            alpha,
-            delta,
-            scale=float(p.get("scale", 1.0)),
-            seed=seed,
-            q_override=p.get("q"),
-            L_override=p.get("L"),
-        )
+        wrapper = adaptive.make_norm_wrapper(factory, T, p["u_bound"], alpha, delta, **sizing)
         adv = NormAdversary(n, seed ^ 0x5BF03635, feedback, c_sq=float(p.get("c_sq", 4.0)))
-        tol_factor = alpha + gamma + alpha * gamma
-        records = []
-        ok_all = True
         last = 0.0
         for t in range(T):
             G_t, h_t = adv.next_instance(last)
@@ -440,29 +434,13 @@ def run_adaptive_experiment(mode, adversary, params):
                 ok_all = ok_all and ok
             records.append(rec)
             last = u_t
-        summary = {"all_ok": bool(ok_all) if check else None,
-                   "gamma": gamma, "tol_factor": tol_factor}
-    elif mode == adaptive.SET_MODE:
+    else:
         k = int(p.get("k", 8))
-        p.setdefault("u_bound", 2.0)
-        factory, gamma = _make_estimator_factory(p)
         wrapper = adaptive.make_setquery_wrapper(
-            factory,
-            T,
-            k,
-            p["u_bound"],
-            alpha,
-            delta,
-            scale=float(p.get("scale", 1.0)),
-            seed=seed,
-            q_override=p.get("q"),
-            L_override=p.get("L"),
+            factory, T, k, p["u_bound"], alpha, delta, **sizing
         )
         adv = SetQueryAdversary(n, k, seed ^ 0x5BF03635, feedback,
                                 c_sq=float(p.get("c_sq", 16.0)))
-        tol_factor = alpha + gamma + alpha * gamma
-        records = []
-        ok_all = True
         last_u, last_coords = None, None
         for t in range(T):
             G_t, h_t, coords = adv.next_instance(last_u, last_coords)
@@ -481,10 +459,8 @@ def run_adaptive_experiment(mode, adversary, params):
                 ok_all = ok_all and bool(np.all(oks))
             records.append(rec)
             last_u, last_coords = u_t, coords
-        summary = {"all_ok": bool(ok_all) if check else None,
-                   "gamma": gamma, "tol_factor": tol_factor}
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
+    summary = {"all_ok": bool(ok_all) if check else None,
+               "gamma": gamma, "tol_factor": tol_factor}
     t1 = time.perf_counter()
 
     summary["transcript_budget"] = _budget_dict(wrapper)

@@ -482,6 +482,7 @@ class MaintainedProjection:
         obj.lam_tilde = np.asarray(snap["lam_tilde"], dtype=float)
         obj._last_external = np.asarray(snap["last_external"], dtype=float)
         obj.counters = dict(snap["counters"])
+        obj.counters["woodbury_ranks"] = list(obj.counters["woodbury_ranks"])
         obj._cum_rank = snap["cum_rank"]
         obj._updates_since_build = snap["updates_since_build"]
         obj._build()

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  Tolerances are pinned here, not configurable.
+lines as they complete.  Tolerances are pinned, not configurable: criteria
+1-6 run the checks of ``kronproj.cli`` and read their tolerances from there,
+so the CLI and this suite cannot drift apart.
 """
 
 import math
@@ -10,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from kronproj import adaptive, cli, dpcore, harness, kronlinalg, oracle, sketch
+from kronproj import adaptive, cli, dpcore, harness, sketch
 from kronproj.projmaint import ConstraintBatch
 
 EPS_MP = 0.05
@@ -22,6 +24,12 @@ def record(name, ok, detail=""):
         line += f" :: {detail}"
     print(line, file=sys.stderr)
     assert ok, line
+
+
+def tol(x):
+    """Spell a tolerance as the titles do: 1e-7, not 1e-07."""
+    mantissa, exponent = f"{x:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +60,8 @@ def test_criterion_01_oracle_equivalence(maintenance_trajectories):
     max_m = max(r.summary["max_m_rel_err"] for r in maintenance_trajectories)
     max_q = max(r.summary["max_query_rel_err"] for r in maintenance_trajectories)
     record(
-        "criterion 1: maintenance oracle equivalence (50 trajectories, tol 1e-7)",
-        max_m <= 1e-7 and max_q <= 1e-7,
+        f"criterion 1: maintenance oracle equivalence (50 trajectories, tol {tol(cli.ORACLE_TOL)})",
+        max_m <= cli.ORACLE_TOL and max_q <= cli.ORACLE_TOL,
         f"max core err {max_m:.2e}, max query err {max_q:.2e}",
     )
 
@@ -62,66 +70,32 @@ def test_criterion_02_spectral_approximation(maintenance_trajectories):
     worst = max(r.summary["max_lam_tilde_log_ratio"] for r in maintenance_trajectories)
     record(
         "criterion 2: spectral approximation |log ratio| <= eps_mp/2",
-        worst <= EPS_MP / 2.0 + 1e-12,
+        worst <= EPS_MP / 2.0 + cli.ROUNDOFF_TOL,
         f"max |log ratio| {worst:.6f} vs {EPS_MP / 2.0}",
     )
 
 
 def test_criterion_03_kronecker_identity_suite():
-    rng = np.random.default_rng(77)
-    worst = 0.0
-    for _ in range(100):
-        A, B, C, D = (rng.standard_normal((3, 3)) for _ in range(4))
-        worst = max(worst, np.max(np.abs(np.kron(A, B) @ np.kron(C, D) - np.kron(A @ C, B @ D))))
-        Ai = A + 3 * np.eye(3)
-        Bi = B + 3 * np.eye(3)
-        worst = max(
-            worst,
-            np.max(np.abs(np.linalg.inv(np.kron(Ai, Bi)) - np.kron(np.linalg.inv(Ai), np.linalg.inv(Bi)))),
-        )
-        X = rng.standard_normal((3, 3))
-        worst = max(
-            worst,
-            np.max(np.abs(kronlinalg.vec(A @ X @ C) - np.kron(C.T, A) @ kronlinalg.vec(X))),
-        )
-        P4, Q4 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-        worst = max(worst, abs(kronlinalg.vec(P4) @ kronlinalg.vec(Q4) - np.trace(P4.T @ Q4)))
-        n = int(rng.integers(2, 7))
-        A2, B2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        x = rng.standard_normal(n * n)
-        worst = max(
-            worst, np.max(np.abs(kronlinalg.kron_apply(A2, B2, x) - np.kron(A2, B2) @ x))
-        )
+    worst = max(cli.kron_identity_errors(np.random.default_rng(77), 100).values())
     record(
-        "criterion 3: Kronecker identity suite (100 instances each, tol 1e-12)",
-        worst <= 1e-12,
+        f"criterion 3: Kronecker identity suite (100 instances each, tol {tol(cli.ROUNDOFF_TOL)})",
+        worst <= cli.ROUNDOFF_TOL,
         f"max abs deviation {worst:.2e}",
     )
 
 
 def test_criterion_04_woodbury_correctness():
-    rng = np.random.default_rng(78)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(3, 11))
-        k = int(rng.integers(1, 6))
-        A = rng.standard_normal((n, n)) + n * np.eye(n)
-        U = rng.standard_normal((n, k))
-        C = rng.standard_normal((k, k)) + 2 * np.eye(k)
-        V = rng.standard_normal((k, n))
-        got = kronlinalg.woodbury_update(np.linalg.inv(A), U, C, V)
-        want = np.linalg.inv(A + U @ C @ V)
-        worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    worst = cli.woodbury_error(np.random.default_rng(78), 100)
     record(
-        "criterion 4: Woodbury vs direct inversion (100 instances, tol 1e-9)",
-        worst <= 1e-9,
+        f"criterion 4: Woodbury vs direct inversion (100 instances, tol {tol(cli.WOODBURY_TOL)})",
+        worst <= cli.WOODBURY_TOL,
         f"max rel err {worst:.2e}",
     )
 
 
 def test_criterion_05_coordinate_wise_embedding():
     b, n, trials, delta = 256, 1024, 10_000, 0.01
-    tail_bound = 20.0 * math.log(n / delta) ** 1.5
+    tail_bound = cli.ce_tail_bound(n, delta)
     families = [
         sketch.SketchFamily.gaussian(),
         sketch.SketchFamily.srht(),
@@ -131,15 +105,13 @@ def test_criterion_05_coordinate_wise_embedding():
     ]
     ok = True
     details = []
-    for fam in families:
-        rep = sketch.ce_estimate(fam, b, n, trials, seed=4242, delta=delta)
-        unbiased = rep.mean_bias <= 4.0 * rep.se_mean
+    for rep, unbiased, tail_ok in cli.ce_checks(families, b, n, trials, seed=4242, delta=delta):
         ok &= unbiased
-        if fam.tag in ("gaussian", "srht", "ams"):
-            ok &= rep.beta_hat <= tail_bound
-            details.append(f"{fam.tag}: bias ok={unbiased}, beta {rep.beta_hat:.1f}<={tail_bound:.0f}")
+        if tail_ok is None:
+            details.append(f"{rep.family}: bias ok={unbiased}, beta {rep.beta_hat:.1f} (report only)")
         else:
-            details.append(f"{fam.tag}: bias ok={unbiased}, beta {rep.beta_hat:.1f} (report only)")
+            ok &= tail_ok
+            details.append(f"{rep.family}: bias ok={unbiased}, beta {rep.beta_hat:.1f}<={tail_bound:.0f}")
     record(
         "criterion 5: coordinate-wise embedding, 5 families at b=256 n=1024",
         ok,
@@ -151,37 +123,14 @@ def test_criterion_06_private_median_rank_slack():
     epsilon, beta, size, trials = 0.25, 0.05, 2000, 1000
     grid = dpcore.SignedGeometricGrid.from_exponent_range(0.25, -25, 24)
     assert len(grid) == 101
-    gamma = 4.0 / epsilon * math.log(len(grid) / beta)
-    rng = np.random.default_rng(4821)
-    pts = grid.points
-    mid = len(grid) // 2
-    distributions = {
-        "point_mass": np.full(size, pts[mid + 5]),
-        "balanced_pair": np.concatenate(
-            [np.full(size // 2, pts[mid - 10]), np.full(size // 2, pts[mid + 10])]
-        ),
-        "staircase": pts[np.arange(size) % len(grid)],
-        "clustered_tail": np.concatenate(
-            [np.full(1600, pts[mid + 1]), pts[rng.integers(0, len(grid), size=400)]]
-        ),
-        "bimodal_extremes": np.concatenate(
-            [np.full(size // 2, pts[2]), np.full(size // 2, pts[-3])]
-        ),
-    }
-    ok = True
-    details = []
-    for name, values in distributions.items():
-        errs = np.empty(trials)
-        for i in range(trials):
-            x = dpcore.private_median(values, grid, epsilon, beta, rng=rng)
-            errs[i] = dpcore.median_rank_error(values, x)
-        frac = float(np.mean(errs <= gamma))
-        ok &= frac >= 0.95
-        details.append(f"{name}: {frac:.3f}")
+    results = cli.private_median_results(
+        grid, size, trials, epsilon, beta, np.random.default_rng(4821)
+    )
     record(
-        "criterion 6: private median rank slack (Gamma = %.1f) on 5 distributions" % gamma,
-        ok,
-        "; ".join(details),
+        "criterion 6: private median rank slack (Gamma = %.1f) on 5 distributions"
+        % results[0]["gamma_bound"],
+        all(r["pass_fraction"] >= cli.DP_PASS_FRACTION for r in results),
+        "; ".join(f"{r['distribution']}: {r['pass_fraction']:.3f}" for r in results),
     )
 
 

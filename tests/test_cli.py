@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kronproj import cli
+from kronproj import cli, kronlinalg
 
 
 def run_cli(args):
@@ -17,6 +17,26 @@ class TestVerifyOracle:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
+
+
+    def test_violated_threshold_exits_two(self, tmp_path, capsys, monkeypatch):
+        exact = kronlinalg.woodbury_update
+        monkeypatch.setattr(kronlinalg, "woodbury_update",
+                            lambda *a, **kw: exact(*a, **kw) + 1e-6)
+        code = run_cli(["verify-oracle", "--seed", "3", "--out", str(tmp_path / "o.json"),
+                        "--config", str(write_cfg(tmp_path, {"reps": 25}))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[FAIL] woodbury vs direct inverse" in err
+        assert "[PASS] kron identity mixed" in err
+
+    def test_csv_without_records_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        code = run_cli(["verify-oracle", "--seed", "3", "--out", str(out), "--format", "csv",
+                        "--config", str(write_cfg(tmp_path, {"reps": 5}))])
+        assert code == 1
+        assert "error: verify-oracle: --format csv" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -95,6 +115,12 @@ class TestAdaptiveSim:
         code = run_cli(["setquery-sim", "--config", str(cfg), "--seed", "7",
                         "--out", str(tmp_path / "sq.json")])
         assert code == 0
+
+    def test_battery_rejects_csv(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"runs": 1, "T": 2, "n": 8, "L": 6, "q": 3})
+        code = run_cli(["adaptive-sim", "--config", str(cfg), "--format", "csv"])
+        assert code == 1
+        assert "error: adaptive-sim: --format csv" in capsys.readouterr().err
 
     def test_check_oracle_off_single_run(self, tmp_path):
         cfg = write_cfg(tmp_path, {"T": 5, "n": 8, "L": 6, "q": 3})

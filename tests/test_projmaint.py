@@ -514,6 +514,20 @@ class TestSnapshot:
         )
         npt.assert_array_equal(clone_a._RT, clone_b._RT)
 
+    def test_resumed_instances_keep_their_own_counters(self):
+        mp, _, U, rng = make_state(4, 5, seed=29)
+        snap = mp.snapshot()
+        ranks_before = list(snap["counters"]["woodbury_ranks"])
+        clone_a = MaintainedProjection.from_snapshot(snap)
+        clone_b = MaintainedProjection.from_snapshot(snap)
+        lam = mp.lam
+        for _ in range(3):
+            lam = lam * np.exp(rng.uniform(-0.2, 0.2, 4))
+            clone_a.update(EigenWeight(U, lam))
+        assert snap["counters"]["woodbury_ranks"] == ranks_before
+        assert len(clone_a.counters["woodbury_ranks"]) == len(ranks_before) + 3
+        assert clone_b.counters["woodbury_ranks"] == ranks_before
+
     def test_snapshot_is_json_serializable(self):
         import json
 
