@@ -27,7 +27,6 @@ from .sketch import CEReport, Sketch, SketchBatch, SketchFamily, ce_estimate, ge
 from .projmaint import (
     ConstraintBatch,
     MaintainedProjection,
-    expand_index_set,
     soft_threshold,
 )
 from .oracle import exact_norm, exact_projection, exact_set_query

@@ -26,8 +26,9 @@ from .errors import (
 )
 
 # Guard applied to every solve; exceeding it is recoverable (callers fall
-# back to a full recompute rather than trusting the result).
-CONDITION_BOUND = 1e12
+# back to a full recompute rather than trusting the result).  At kappa = 1e8
+# roundoff stays near 1e-8 relative, inside the 1e-7 the oracle checks ask.
+CONDITION_BOUND = 1e8
 
 SYMMETRY_TOL = 1e-10
 EIG_CLAMP_TOL = 1e-10
@@ -176,11 +177,16 @@ def solve_spd(A, B, cond_bound=CONDITION_BOUND):
     return scipy.linalg.cho_solve((c, low), B, check_finite=False)
 
 
-def _lu_guarded(A, cond_bound, what):
-    """LU factors (getrf) of a square A that passed the ``gecon`` guard."""
+def _lu_guarded(A, cond_bound, what, anorm=None):
+    """LU factors (getrf) of a square A that passed the ``gecon`` guard.
+
+    ``anorm`` defaults to the 1-norm of A; a larger value measures
+    ||A^{-1}|| against the size of the terms A was summed from.
+    """
     lu, piv, info = scipy.linalg.lapack.dgetrf(A)
+    anorm = np.linalg.norm(A, 1) if anorm is None else anorm
     # info > 0: an exactly zero pivot, so A is singular
-    rcond = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(A, 1))[0] if info == 0 else 0.0
+    rcond = scipy.linalg.lapack.dgecon(lu, anorm)[0] if info == 0 else 0.0
     _guard(rcond, cond_bound, what)
     return lu, piv
 
@@ -195,11 +201,13 @@ def woodbury_correction(AiU, C, VAiU, R, cond_bound=CONDITION_BOUND):
     through the condition guard and raises :class:`IllConditionedError`.
     """
     C = np.asarray(C, dtype=float)
-    if C.ndim == 1:
-        inner = np.eye(C.size) + VAiU * C[None, :]
-    else:
-        inner = np.eye(C.shape[0]) + VAiU @ C
-    lu, piv = _lu_guarded(inner, cond_bound, "woodbury inner matrix")
+    VAiUC = VAiU * C[None, :] if C.ndim == 1 else VAiU @ C
+    # guard against 1 + ||V A^{-1}U C||, not ||I + V A^{-1}U C||: when the sum
+    # cancels, roundoff in it dominates and only this scale shows it
+    lu, piv = _lu_guarded(
+        np.eye(VAiUC.shape[0]) + VAiUC, cond_bound, "woodbury inner matrix",
+        1.0 + np.linalg.norm(VAiUC, 1),
+    )
     Y = scipy.linalg.lapack.dgetrs(lu, piv, np.asarray(R, dtype=float))[0]
     CY = (C * Y.T).T if C.ndim == 1 else C @ Y
     return AiU @ CY

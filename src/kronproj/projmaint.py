@@ -2,11 +2,13 @@
 
 Maintains M = G^T (G (L (x) L) G^T)^{-1} G for G = A (U (x) U) under
 shared-eigenbasis updates of the weight eigenvalues, together with the
-sketched products Q and P used to answer projected matrix-vector queries.
-Small eigenvalue drifts are absorbed lazily; larger ones trigger a batched
-low-rank inverse correction chosen by a geometric soft-threshold rule.
-Queries return the projection at the query-time approximation lam_tilde
-applied to a sketched copy of the input vector.
+sketched product Q = M (L (x) L)^{1/2} (U (x) U)^T R^T of the sketch pool R
+used to answer projected matrix-vector queries.  Small eigenvalue drifts are
+absorbed lazily; larger ones trigger a batched low-rank inverse correction
+chosen by a geometric soft-threshold rule, or a from-scratch rebuild of M
+when the cumulative Woodbury rank would pass n^2 or the condition guard
+trips.  Queries return the projection at the query-time approximation
+lam_tilde applied to a sketched copy of the input vector.
 
 A single instance is single-writer: update and query mutate the cursor and
 counters and must be externally serialized.  Distinct instances are
@@ -24,7 +26,6 @@ from .errors import (
     DimensionError,
     IllConditionedError,
     InvariantError,
-    NotPSDError,
     ParameterError,
     RankDeficiencyError,
 )
@@ -111,25 +112,6 @@ def soft_threshold(lam, lam_new, r):
     return lam_hat, r
 
 
-def expand_index_set(S, n):
-    """Flat Kronecker-diagonal indices where a change supported on S acts.
-
-    For eigenvalue changes supported on S, the diagonal perturbation
-    L (x) C + C (x) L + C (x) C is nonzero only at pair indices (i, j)
-    with i in S or j in S; this returns those flat indices (i*n + j),
-    sorted, of size 2n|S| - |S|^2.
-    """
-    idx = np.asarray(sorted(set(int(i) for i in S)), dtype=int)
-    if idx.size == 0:
-        return np.zeros(0, dtype=int)
-    if idx.min() < 0 or idx.max() >= n:
-        raise DimensionError("index out of range in expand_index_set")
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
-    pair = mask[:, None] | mask[None, :]
-    return np.flatnonzero(pair.ravel())
-
-
 def kron_apply_block(A, B, X):
     """Apply (A (x) B) to every column of X without materializing it."""
     A = np.asarray(A, dtype=float)
@@ -152,7 +134,8 @@ class MaintainedProjection:
     controls the spectral approximation, ``a_exp`` in (0, 1) sets the lazy
     threshold n^a_exp on the number of drifted eigenvalues, and the pool
     holds ``s`` sketches of dimension ``b`` that are regenerated with fresh
-    seeds on every non-lazy update and on exhaustion.
+    seeds on every non-lazy update and on exhaustion.  M is rebuilt from
+    scratch only past the n^2 rank budget or when the condition guard trips.
     """
 
     def __init__(
@@ -165,7 +148,6 @@ class MaintainedProjection:
         s=8,
         b=64,
         seed=0,
-        rebuild_every=256,
     ):
         if not 0.0 < eps_mp < 0.1:
             raise ParameterError("eps_mp must lie in (0, 0.1)")
@@ -181,7 +163,6 @@ class MaintainedProjection:
         self.family = family
         self.s = int(s)
         self.b = int(b)
-        self.rebuild_every = int(rebuild_every)
         self._root_seed = int(seed)
         self._regen_count = 0
 
@@ -203,7 +184,6 @@ class MaintainedProjection:
             "query_fallbacks": 0,
         }
         self._cum_rank = 0
-        self._updates_since_build = 0
         self._build()
 
     # -- internal construction helpers ------------------------------------
@@ -213,7 +193,6 @@ class MaintainedProjection:
         # row i of G is vec(U^T A_i U) = (U^T (x) U^T) vec(A_i)
         UT = self.basis.T
         self.G = np.ascontiguousarray(kron_apply_block(UT, UT, self.constraints.matrix.T).T)
-        self._last_pg = None
         self.M = self._compute_core(self.lam)
         self._install_pool()
 
@@ -232,7 +211,7 @@ class MaintainedProjection:
         return int(ss.generate_state(1, dtype=np.uint64)[0])
 
     def _install_pool(self):
-        """Draw a fresh pool and rebuild Q, P from the current M and lam."""
+        """Draw a fresh pool and rebuild Q from the current M and lam."""
         self.pool = SketchBatch.generate(
             self.family, self.s, self.b, self.n * self.n, self._pool_seed()
         )
@@ -241,15 +220,7 @@ class MaintainedProjection:
         khalf = kron_diag(np.sqrt(self.lam), np.sqrt(self.lam))
         W1 = kron_apply_block(self.basis.T, self.basis.T, self._RT)
         self.Q = self.M @ (khalf[:, None] * W1)
-        self.P = kron_apply_block(self.basis, self.basis, khalf[:, None] * self.Q)
         self.cursor = 0
-
-    def _rebuild(self, lam):
-        self.M = self._compute_core(lam)
-        self.lam = lam
-        self.counters["full_recomputes"] += 1
-        self._cum_rank = 0
-        self._updates_since_build = 0
 
     # -- operations --------------------------------------------------------
 
@@ -274,61 +245,54 @@ class MaintainedProjection:
         n = self.n
         y = np.log(lam_ext) - np.log(self.lam)
         r0 = int(np.sum(np.abs(y) >= self.eps_mp / 2.0))
-        self.counters["updates"] += 1
 
         if r0 < n**self.a_exp:
-            # lazy branch: keep M, Q, P and the maintained lam untouched
+            # lazy branch: keep M, Q and the maintained lam untouched
             self.counters["woodbury_ranks"].append(0)
         else:
             lam_hat, _ = soft_threshold(self.lam, lam_ext, r0)
-            changed = np.flatnonzero(lam_hat != self.lam)
-            applied = self._apply_eig_change(lam_hat, changed)
+            applied = self._apply_eig_change(lam_hat)
             self.counters["woodbury_ranks"].append(applied)
             self._install_pool()
+        self.counters["updates"] += 1  # only once the step has taken
 
         close = np.abs(np.log(lam_ext) - np.log(self.lam)) <= self.eps_mp / 2.0
         self.lam_tilde = np.where(close, self.lam, lam_ext)
         self._last_external = lam_ext
         return self.lam_tilde.copy()
 
-    def _kron_change(self, lam_new, changed):
-        """Flat indices and values where kron_diag(lam_new) - kron_diag(lam) != 0.
+    def _kron_change(self, lam_new):
+        """Flat indices S and values of kron_diag(lam_new) - kron_diag(lam) on S.
 
-        ``changed`` lists the eigenvalue indices where lam_new differs from
-        the maintained lam.
+        S is the support of the Kronecker-diagonal change.  For eigenvalues
+        changed on a set C it has at most 2n|C| - |C|^2 entries.
         """
-        S_tilde = expand_index_set(changed, self.n)
-        dsub = (kron_diag(lam_new, lam_new) - kron_diag(self.lam, self.lam))[S_tilde]
-        nz = dsub != 0.0
-        return S_tilde[nz], dsub[nz]
+        delta = kron_diag(lam_new, lam_new) - kron_diag(self.lam, self.lam)
+        S = np.flatnonzero(delta)
+        return S, delta[S]
 
-    def _apply_eig_change(self, lam_hat, changed):
+    def _apply_eig_change(self, lam_hat):
         """Move the maintained core to lam_hat; returns the applied rank."""
-        n = self.n
-        if changed.size == 0:
-            self.lam = lam_hat
-            return 0
-        S_tilde, dsub = self._kron_change(lam_hat, changed)
+        S_tilde, dsub = self._kron_change(lam_hat)
         k = int(S_tilde.size)
-        self._updates_since_build += 1
-        if (
-            self._updates_since_build >= self.rebuild_every
-            or self._cum_rank + k > n * n
-        ):
-            self._rebuild(lam_hat)
-            return k
-        # M <- M - M_{*,S} D (I + M_{S,S} D)^{-1} M_{*,S}^T with D = diag(dsub)
-        Msub = self.M[:, S_tilde]
-        try:
-            M = self.M - kronlinalg.woodbury_correction(
-                Msub, dsub, Msub[S_tilde], Msub.T, CONDITION_BOUND
-            )
-        except IllConditionedError:
-            self._rebuild(lam_hat)
-            return k
-        self.M = 0.5 * (M + M.T)
+        M = None
+        if self._cum_rank + k <= self.n * self.n:
+            # M <- M - M_{*,S} D (I + M_{S,S} D)^{-1} M_{*,S}^T with D = diag(dsub)
+            Msub = self.M[:, S_tilde]
+            try:
+                M = self.M - kronlinalg.woodbury_correction(
+                    Msub, dsub, Msub[S_tilde], Msub.T, CONDITION_BOUND
+                )
+            except IllConditionedError:
+                pass  # rebuilt from scratch below
+        if M is None:
+            self.M = self._compute_core(lam_hat)
+            self.counters["full_recomputes"] += 1
+            self._cum_rank = 0
+        else:
+            self.M = 0.5 * (M + M.T)
+            self._cum_rank += k
         self.lam = lam_hat
-        self._cum_rank += k
         return k
 
     def query(self, h):
@@ -336,7 +300,7 @@ class MaintainedProjection:
 
         The output equals the exact projection at lam_tilde applied to
         R_l^T R_l h, where R_l is the sketch at the cursor.  Consumes one
-        sketch; the pool is regenerated (and Q, P rebuilt) on exhaustion.
+        sketch; the pool is regenerated (and Q rebuilt) on exhaustion.
         """
         h = self._query_vector(h, "query")
         l = self.cursor
@@ -352,27 +316,24 @@ class MaintainedProjection:
 
     def _project_sketched(self, v, l, rh):
         khalf_t = kron_diag(np.sqrt(self.lam_tilde), np.sqrt(self.lam_tilde))
-        t1 = self.Q[:, l * self.b : (l + 1) * self.b] @ rh
-        self._last_pg = np.zeros(self.n * self.n)
-        changed = np.flatnonzero(self.lam_tilde != self.lam)
-        if changed.size:
-            khalf = kron_diag(np.sqrt(self.lam), np.sqrt(self.lam))
+        if np.array_equal(self.lam_tilde, self.lam):
+            # no lazy drift pending: the pool's Q block is M (L (x) L)^{1/2} w
+            t1 = self.Q[:, l * self.b : (l + 1) * self.b] @ rh
+        else:
             w = kron_apply(self.basis.T, self.basis.T, v)
-            t1 = t1 + self.M @ ((khalf_t - khalf) * w)
-            S_tilde, dsub = self._kron_change(self.lam_tilde, changed)
-            if S_tilde.size:
-                Msub = self.M[:, S_tilde]
-                try:
-                    core = kronlinalg.woodbury_correction(
-                        Msub, dsub, Msub[S_tilde], t1[S_tilde], CONDITION_BOUND
-                    )
-                except IllConditionedError:
-                    # recoverable: answer from scratch at lam_tilde instead
-                    self.counters["query_fallbacks"] += 1
-                    self._last_pg = None
-                    return self._project_exact(v)
-                self._last_pg = kron_apply(self.basis, self.basis, khalf_t * core)
-        return kron_apply(self.basis, self.basis, khalf_t * t1) - self._last_pg
+            t1 = self.M @ (khalf_t * w)
+            # correct M at lam to the core at lam_tilde, applied to t1
+            S_tilde, dsub = self._kron_change(self.lam_tilde)
+            Msub = self.M[:, S_tilde]
+            try:
+                t1 = t1 - kronlinalg.woodbury_correction(
+                    Msub, dsub, Msub[S_tilde], t1[S_tilde], CONDITION_BOUND
+                )
+            except IllConditionedError:
+                # recoverable: answer from scratch at lam_tilde instead
+                self.counters["query_fallbacks"] += 1
+                return self._project_exact(v)
+        return kron_apply(self.basis, self.basis, khalf_t * t1)
 
     def _project_exact(self, x):
         """Exact projection at lam_tilde applied to x, from scratch."""
@@ -394,11 +355,6 @@ class MaintainedProjection:
         if not np.all(np.isfinite(h)):
             raise ParameterError(f"{what}: entries must be finite")
         return h
-
-    @property
-    def last_query_pg(self):
-        """Woodbury correction term of the most recent query (debug)."""
-        return None if self._last_pg is None else self._last_pg.copy()
 
     # -- introspection ------------------------------------------------------
 
@@ -448,18 +404,17 @@ class MaintainedProjection:
             "family": {"tag": self.family.tag, "sparsity": self.family.sparsity},
             "s": self.s,
             "b": self.b,
-            "rebuild_every": self.rebuild_every,
             "root_seed": self._root_seed,
             "regen_count": self._regen_count - 1,
             "cursor": self.cursor,
             "eig_floor": self.eig_floor,
             "cum_rank": self._cum_rank,
-            "updates_since_build": self._updates_since_build,
             "counters": self.counters_dict(),
         }
 
     @classmethod
     def from_snapshot(cls, snap):
+        """Resume from :meth:`snapshot`; corrupt state raises a KronprojError."""
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ParameterError(f"unsupported snapshot version {snap.get('version')}")
         obj = cls.__new__(cls)
@@ -473,18 +428,22 @@ class MaintainedProjection:
         obj.family = SketchFamily(snap["family"]["tag"], snap["family"]["sparsity"])
         obj.s = snap["s"]
         obj.b = snap["b"]
-        obj.rebuild_every = snap["rebuild_every"]
         obj._root_seed = snap["root_seed"]
         obj._regen_count = snap["regen_count"]
-        obj.basis = np.asarray(snap["basis"], dtype=float)
-        obj.eig_floor = snap["eig_floor"]
-        obj.lam = np.asarray(snap["lam"], dtype=float)
+        ew = EigenWeight(snap["basis"], snap["lam"])  # orthonormal, nonnegative
+        obj.basis, obj.lam, obj.eig_floor = ew.basis, ew.eigvals, float(snap["eig_floor"])
+        if not (0.0 < obj.eig_floor < np.inf and np.all(obj.lam >= obj.eig_floor)):
+            raise ParameterError("snapshot: lam must be at least eig_floor > 0")
         obj.lam_tilde = np.asarray(snap["lam_tilde"], dtype=float)
         obj._last_external = np.asarray(snap["last_external"], dtype=float)
+        for name, x in (("lam_tilde", obj.lam_tilde), ("last_external", obj._last_external)):
+            if x.shape != (obj.n,) or not np.all(np.isfinite(x) & (x > 0)):
+                raise ParameterError(f"snapshot: {name} must be {obj.n} finite positive values")
+        if not 0 <= snap["cursor"] < obj.s:
+            raise ParameterError(f"snapshot: cursor {snap['cursor']} outside the pool of {obj.s}")
         obj.counters = dict(snap["counters"])
         obj.counters["woodbury_ranks"] = list(obj.counters["woodbury_ranks"])
         obj._cum_rank = snap["cum_rank"]
-        obj._updates_since_build = snap["updates_since_build"]
         obj._build()
         obj.cursor = snap["cursor"]
         return obj

@@ -1,7 +1,8 @@
 """Sketching families with seeded generation and fast application.
 
 Five families are supported: dense Gaussian, subsampled randomized
-Hadamard (SRHT), AMS, CountSketch, and sparse embedding.  Hash-based
+Hadamard (SRHT), AMS, CountSketch, and sparse embedding.  CountSketch is
+the sparse embedding with sparsity 1 and shares its code.  Hash-based
 families use k-wise independent polynomial hashing over the Mersenne
 prime 2^31 - 1 (degree 4 for 4-wise, degree 2 for 2-wise) rather than
 full randomness.  Every sketch is a deterministic function of
@@ -39,6 +40,8 @@ class SketchFamily:
             raise ParameterError(f"unknown sketch family {self.tag!r}")
         if self.sparsity < 1:
             raise ParameterError("sparsity must be >= 1")
+        if self.tag == COUNTSKETCH and self.sparsity != 1:
+            raise ParameterError("CountSketch has sparsity 1")
 
     @classmethod
     def gaussian(cls):
@@ -183,10 +186,7 @@ class Sketch:
             Xp[: self.n] = rep["signs"][: self.n, None] * X
             HX = fwht(Xp) / np.sqrt(n_pad)
             out = rep["scale"] * HX[rep["rows"]]
-        elif tag == COUNTSKETCH:
-            out = np.zeros((self.b, X.shape[1]))
-            np.add.at(out, rep["bins"], rep["signs"][:, None] * X)
-        elif tag == SPARSE_EMBEDDING:
+        elif tag in (COUNTSKETCH, SPARSE_EMBEDDING):
             s = self.family.sparsity
             out = np.zeros((self.b, X.shape[1]))
             weighted = rep["signs"].reshape(self.n, s, 1) * X[:, None, :]
@@ -215,9 +215,7 @@ class Sketch:
             # Sylvester-Hadamard is symmetric, so H^T = H
             HY = fwht(Yp) / np.sqrt(n_pad)
             out = rep["scale"] * (rep["signs"][: self.n, None] * HY[: self.n])
-        elif tag == COUNTSKETCH:
-            out = rep["signs"][:, None] * Y[rep["bins"]]
-        elif tag == SPARSE_EMBEDDING:
+        elif tag in (COUNTSKETCH, SPARSE_EMBEDDING):
             s = self.family.sparsity
             gathered = rep["signs"].reshape(self.n, s, 1) * Y[
                 rep["rows"].reshape(self.n, s)
@@ -237,11 +235,7 @@ class Sketch:
             n_pad = rep["n_pad"]
             H = _hadamard_rows(rep["rows"], n_pad) / np.sqrt(n_pad)
             return rep["scale"] * (H * rep["signs"][None, :])[:, : self.n]
-        if tag == COUNTSKETCH:
-            R = np.zeros((self.b, self.n))
-            R[rep["bins"], np.arange(self.n)] = rep["signs"]
-            return R
-        if tag == SPARSE_EMBEDDING:
+        if tag in (COUNTSKETCH, SPARSE_EMBEDDING):
             s = self.family.sparsity
             R = np.zeros((self.b, self.n))
             cols = np.repeat(np.arange(self.n), s)
@@ -272,14 +266,7 @@ def generate(family, b, n, seed):
     elif tag == AMS:
         powers = _domain_powers(np.arange(n, dtype=np.uint64), 4)
         rep = {"dense": _hash_signs(rng, powers, m=b) / np.sqrt(b)}
-    elif tag == COUNTSKETCH:
-        powers4 = _domain_powers(np.arange(n, dtype=np.uint64), 4)
-        powers2 = powers4[:1]
-        rep = {
-            "bins": _hash_bins(rng, powers2, b, m=1)[0],
-            "signs": _hash_signs(rng, powers4, m=1)[0],
-        }
-    elif tag == SPARSE_EMBEDDING:
+    elif tag in (COUNTSKETCH, SPARSE_EMBEDDING):
         s = family.sparsity
         if b % s != 0:
             raise ParameterError(f"sparsity {s} must divide sketch dimension {b}")

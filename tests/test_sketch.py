@@ -53,6 +53,26 @@ class TestGenerate:
         blocks = R.reshape(4, 4, 60)
         npt.assert_array_equal(np.sum(blocks != 0, axis=1), np.ones((4, 60)))
 
+    def test_countsketch_is_sparse_embedding_of_sparsity_one(self):
+        # same seed, same sketch: CountSketch runs the sparse-embedding code
+        for b, n in [(1, 1), (4, 7), (8, 100), (32, 128), (256, 1024)]:
+            rng = np.random.default_rng(b * 7 + n)
+            X, Y = rng.standard_normal((n, 2)), rng.standard_normal((b, 2))
+            for seed in range(20):
+                cs = sk.generate(sk.SketchFamily.countsketch(), b, n, seed)
+                se = sk.generate(sk.SketchFamily.sparse_embedding(1), b, n, seed)
+                npt.assert_array_equal(cs.to_dense(), se.to_dense())
+                npt.assert_array_equal(cs.apply(X), se.apply(X))
+                npt.assert_array_equal(cs.apply_adjoint(Y), se.apply_adjoint(Y))
+        cs = sk.ce_estimate(sk.SketchFamily.countsketch(), 32, 128, 100, seed=3).to_dict()
+        se = sk.ce_estimate(sk.SketchFamily.sparse_embedding(1), 32, 128, 100, seed=3).to_dict()
+        assert cs.pop("family") == "countsketch" and se.pop("family") == "sparse_embedding"
+        assert cs == se
+
+    def test_countsketch_sparsity_is_one(self):
+        with pytest.raises(ParameterError):
+            sk.SketchFamily("countsketch", sparsity=2)
+
     def test_sparse_embedding_sparsity_must_divide(self):
         with pytest.raises(ParameterError):
             sk.generate(sk.SketchFamily.sparse_embedding(3), 16, 10, seed=0)
