@@ -197,8 +197,7 @@ def run_maintenance_experiment(
         lam_tilde = mp.update(EigenWeight(basis, lam_ext))
         log_ratio = float(np.max(np.abs(np.log(lam_ext) - np.log(lam_tilde))))
         h = rng.standard_normal(n * n)
-        cursor = mp.cursor
-        block = mp._RT[:, cursor * mp.b : (cursor + 1) * mp.b].copy()
+        R = mp.pool[mp.cursor].to_dense()
         out = mp.query(h)
         rec = {
             "t": t,
@@ -212,7 +211,7 @@ def run_maintenance_experiment(
             )
             W_tilde = (basis * lam_tilde) @ basis.T
             proj = oracle.exact_projection(constraints, W_tilde)
-            expected = proj @ (block @ (block.T @ h))
+            expected = proj @ (R.T @ (R @ h))
             q_err = float(
                 np.linalg.norm(out - expected)
                 / max(np.linalg.norm(expected), 1e-30)

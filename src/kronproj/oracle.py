@@ -6,6 +6,7 @@ them at desk scale only.
 """
 
 import numpy as np
+import scipy.linalg
 
 from . import kronlinalg
 from .errors import DimensionError, ParameterError
@@ -15,12 +16,15 @@ LEFT = "left"
 
 
 def exact_projection(constraints, W, variant=SYMMETRIC):
-    """Materialize the projection B^T (B B^T)^{-1} B.
+    """Materialize the projection B^T (B B^T)^{-1} B as Q Q^T, with B^T = Q R.
 
     ``constraints`` is the m x n^2 matrix of vectorized constraint rows
     (or an object exposing ``.matrix``).  For the symmetric variant
     B = constraints (W^{1/2} (x) W^{1/2}); for the left variant
-    B = constraints (W (x) I).
+    B = constraints (W (x) I).  Both the QR factor R and, for the symmetric
+    variant, W itself must pass the condition guard: ``eigh`` fixes W's
+    small eigenvalues only to roundoff in ||W||, so W^{1/2} is no more
+    accurate than W's condition allows.
     """
     A = np.asarray(getattr(constraints, "matrix", constraints), dtype=float)
     W = np.asarray(W, dtype=float)
@@ -29,15 +33,19 @@ def exact_projection(constraints, W, variant=SYMMETRIC):
         raise DimensionError(f"constraints {A.shape} incompatible with W {W.shape}")
     if variant == SYMMETRIC:
         ew = kronlinalg.sym_eigen(W)
+        kronlinalg._guard(
+            ew.eigvals[-1] / ew.eigvals[0], kronlinalg.CONDITION_BOUND, "exact_projection: W"
+        )
         Whalf = (ew.basis * np.sqrt(ew.eigvals)) @ ew.basis.T
         K = np.kron(Whalf, Whalf)
     elif variant == LEFT:
         K = np.kron(W, np.eye(n))
     else:
         raise ParameterError(f"unknown variant {variant!r}")
-    B = A @ K
-    X = kronlinalg.solve_spd(B @ B.T, B)
-    return B.T @ X
+    Q, R = scipy.linalg.qr((A @ K).T, mode="economic")
+    rcond = scipy.linalg.lapack.dtrcon(R)[0]
+    kronlinalg._guard(rcond, kronlinalg.CONDITION_BOUND, "exact_projection: R")
+    return Q @ Q.T
 
 
 def exact_norm(G, h):

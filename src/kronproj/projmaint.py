@@ -1,14 +1,14 @@
 """Dynamic maintenance of a Kronecker-structured projection.
 
-Maintains M = G^T (G (L (x) L) G^T)^{-1} G for G = A (U (x) U) under
-shared-eigenbasis updates of the weight eigenvalues, together with the
-sketched product Q = M (L (x) L)^{1/2} (U (x) U)^T R^T of the sketch pool R
-used to answer projected matrix-vector queries.  Small eigenvalue drifts are
-absorbed lazily; larger ones trigger a batched low-rank inverse correction
-chosen by a geometric soft-threshold rule, or a from-scratch rebuild of M
-when the cumulative Woodbury rank would pass n^2 or the condition guard
-trips.  Queries return the projection at the query-time approximation
-lam_tilde applied to a sketched copy of the input vector.
+Maintains Y, an orthonormal basis of the range of (L (x) L)^{1/2} G^T for
+G = A (U (x) U), from a Householder QR at the maintained eigenvalues lam, so
+that the projection at lam is (U (x) U) Y Y^T (U (x) U)^T.  The sketched
+product Q = Y Y^T (U (x) U)^T R^T of the sketch pool R answers projected
+matrix-vector queries.  Small eigenvalue drifts are absorbed lazily; larger
+ones, batched by a geometric soft-threshold rule, recompute Y at the new
+eigenvalues.  Queries return the projection at the query-time approximation
+lam_tilde, reached from Y by a Woodbury correction on the Kronecker support
+of the lazy drift, applied to a sketched copy of the input vector.
 
 A single instance is single-writer: update and query mutate the cursor and
 counters and must be externally serialized.  Distinct instances are
@@ -134,8 +134,7 @@ class MaintainedProjection:
     controls the spectral approximation, ``a_exp`` in (0, 1) sets the lazy
     threshold n^a_exp on the number of drifted eigenvalues, and the pool
     holds ``s`` sketches of dimension ``b`` that are regenerated with fresh
-    seeds on every non-lazy update and on exhaustion.  M is rebuilt from
-    scratch only past the n^2 rank budget or when the condition guard trips.
+    seeds on every non-lazy update and on exhaustion, when Y is also recomputed.
     """
 
     def __init__(
@@ -179,30 +178,39 @@ class MaintainedProjection:
         self.counters = {
             "updates": 0,
             "queries": 0,
+            # per update: the Kronecker support size of the change to lam, 0 if lazy
             "woodbury_ranks": [],
-            "full_recomputes": 0,
+            "full_recomputes": 0,  # never incremented; callers compare it across updates
             "query_fallbacks": 0,
         }
-        self._cum_rank = 0
         self._build()
 
     # -- internal construction helpers ------------------------------------
 
     def _build(self):
-        """G = A (U (x) U) from the constraints, M at lam and a fresh pool."""
+        """G = A (U (x) U) from the constraints, Y at lam and a fresh pool."""
         # row i of G is vec(U^T A_i U) = (U^T (x) U^T) vec(A_i)
         UT = self.basis.T
         self.G = np.ascontiguousarray(kron_apply_block(UT, UT, self.constraints.matrix.T).T)
-        self.M = self._compute_core(self.lam)
+        self.Y = self._core_basis(self.lam)
         self._install_pool()
 
-    def _compute_core(self, lam):
-        """From-scratch M = G^T (G (L (x) L) G^T)^{-1} G at the given lam."""
-        kk = kron_diag(lam, lam)
-        gram = (self.G * kk[None, :]) @ self.G.T
-        X = kronlinalg.solve_spd(gram, self.G)
-        M = self.G.T @ X
-        return 0.5 * (M + M.T)
+    def _core_basis(self, lam):
+        """Orthonormal basis of the range of (L (x) L)^{1/2} G^T at lam.
+
+        Householder QR, guarded on the condition estimate of R: that is the
+        square root of the condition of the Gram matrix G (L (x) L) G^T.
+        """
+        khalf = kron_diag(np.sqrt(lam), np.sqrt(lam))
+        Y, R = scipy.linalg.qr(khalf[:, None] * self.G.T, mode="economic", check_finite=False)
+        kronlinalg._guard(scipy.linalg.lapack.dtrcon(R)[0], CONDITION_BOUND, "core QR")
+        return Y
+
+    @property
+    def M(self):
+        """The core G^T (G (L (x) L) G^T)^{-1} G at lam, derived from Y (n^2 x n^2)."""
+        khalf = kron_diag(np.sqrt(self.lam), np.sqrt(self.lam))
+        return (self.Y @ self.Y.T) / np.outer(khalf, khalf)
 
     def _pool_seed(self):
         ss = np.random.SeedSequence(
@@ -211,15 +219,13 @@ class MaintainedProjection:
         return int(ss.generate_state(1, dtype=np.uint64)[0])
 
     def _install_pool(self):
-        """Draw a fresh pool and rebuild Q from the current M and lam."""
+        """Draw a fresh pool and rebuild Q from the current Y."""
         self.pool = SketchBatch.generate(
             self.family, self.s, self.b, self.n * self.n, self._pool_seed()
         )
         self._regen_count += 1
-        self._RT = self.pool.transpose_dense()
-        khalf = kron_diag(np.sqrt(self.lam), np.sqrt(self.lam))
-        W1 = kron_apply_block(self.basis.T, self.basis.T, self._RT)
-        self.Q = self.M @ (khalf[:, None] * W1)
+        W1 = kron_apply_block(self.basis.T, self.basis.T, self.pool.transpose_dense())
+        self.Q = self.Y @ (self.Y.T @ W1)
         self.cursor = 0
 
     # -- operations --------------------------------------------------------
@@ -247,12 +253,14 @@ class MaintainedProjection:
         r0 = int(np.sum(np.abs(y) >= self.eps_mp / 2.0))
 
         if r0 < n**self.a_exp:
-            # lazy branch: keep M, Q and the maintained lam untouched
+            # lazy branch: keep Y, Q and the maintained lam untouched
             self.counters["woodbury_ranks"].append(0)
         else:
             lam_hat, _ = soft_threshold(self.lam, lam_ext, r0)
-            applied = self._apply_eig_change(lam_hat)
-            self.counters["woodbury_ranks"].append(applied)
+            self.Y = self._core_basis(lam_hat)  # raises before any state changes
+            change = kron_diag(lam_hat, lam_hat) - kron_diag(self.lam, self.lam)
+            self.counters["woodbury_ranks"].append(int(np.count_nonzero(change)))
+            self.lam = lam_hat
             self._install_pool()
         self.counters["updates"] += 1  # only once the step has taken
 
@@ -260,40 +268,6 @@ class MaintainedProjection:
         self.lam_tilde = np.where(close, self.lam, lam_ext)
         self._last_external = lam_ext
         return self.lam_tilde.copy()
-
-    def _kron_change(self, lam_new):
-        """Flat indices S and values of kron_diag(lam_new) - kron_diag(lam) on S.
-
-        S is the support of the Kronecker-diagonal change.  For eigenvalues
-        changed on a set C it has at most 2n|C| - |C|^2 entries.
-        """
-        delta = kron_diag(lam_new, lam_new) - kron_diag(self.lam, self.lam)
-        S = np.flatnonzero(delta)
-        return S, delta[S]
-
-    def _apply_eig_change(self, lam_hat):
-        """Move the maintained core to lam_hat; returns the applied rank."""
-        S_tilde, dsub = self._kron_change(lam_hat)
-        k = int(S_tilde.size)
-        M = None
-        if self._cum_rank + k <= self.n * self.n:
-            # M <- M - M_{*,S} D (I + M_{S,S} D)^{-1} M_{*,S}^T with D = diag(dsub)
-            Msub = self.M[:, S_tilde]
-            try:
-                M = self.M - kronlinalg.woodbury_correction(
-                    Msub, dsub, Msub[S_tilde], Msub.T, CONDITION_BOUND
-                )
-            except IllConditionedError:
-                pass  # rebuilt from scratch below
-        if M is None:
-            self.M = self._compute_core(lam_hat)
-            self.counters["full_recomputes"] += 1
-            self._cum_rank = 0
-        else:
-            self.M = 0.5 * (M + M.T)
-            self._cum_rank += k
-        self.lam = lam_hat
-        return k
 
     def query(self, h):
         """Sketched projection query; returns p_l for the next pool sketch.
@@ -304,49 +278,50 @@ class MaintainedProjection:
         """
         h = self._query_vector(h, "query")
         l = self.cursor
-        RT_block = self._RT[:, l * self.b : (l + 1) * self.b]
-        rh = RT_block.T @ h
-        v = RT_block @ rh  # R_l^T R_l h
-        p_l = self._project_sketched(v, l, rh)
+        sketch = self.pool[l]
+        rh = sketch.apply(h)
+        if np.array_equal(self.lam_tilde, self.lam):
+            # no lazy drift pending: the pool's Q block is Y Y^T (U (x) U)^T R_l^T
+            p = self.Q[:, l * self.b : (l + 1) * self.b] @ rh
+        else:
+            p = self._project(kron_apply(self.basis.T, self.basis.T, sketch.apply_adjoint(rh)))
+        p_l = kron_apply(self.basis, self.basis, p)
         self.cursor += 1
         self.counters["queries"] += 1
         if self.cursor >= self.s:
             self._install_pool()
         return p_l
 
-    def _project_sketched(self, v, l, rh):
-        khalf_t = kron_diag(np.sqrt(self.lam_tilde), np.sqrt(self.lam_tilde))
-        if np.array_equal(self.lam_tilde, self.lam):
-            # no lazy drift pending: the pool's Q block is M (L (x) L)^{1/2} w
-            t1 = self.Q[:, l * self.b : (l + 1) * self.b] @ rh
-        else:
-            w = kron_apply(self.basis.T, self.basis.T, v)
-            t1 = self.M @ (khalf_t * w)
-            # correct M at lam to the core at lam_tilde, applied to t1
-            S_tilde, dsub = self._kron_change(self.lam_tilde)
-            Msub = self.M[:, S_tilde]
+    def _project(self, w):
+        """The projection at lam_tilde applied to w, both in the basis U (x) U.
+
+        With E = (K~ / K)^{1/2} for the Kronecker diagonals K~ at lam_tilde
+        and K at lam, that projection is E Y (Y^T E^2 Y)^{-1} Y^T E, and
+        Y^T E^2 Y = I + Y_S^T D Y_S for D = E^2 - I on its support S.  The
+        k x k Woodbury inner matrix inverts it, and its guard catches the
+        cancellation of a drift toward the floor.
+        """
+        ratio = kron_diag(self.lam_tilde, self.lam_tilde) / kron_diag(self.lam, self.lam)
+        e = np.sqrt(ratio)
+        r = self.Y.T @ (e * w)
+        S = np.flatnonzero(ratio != 1.0)
+        if S.size:  # LAPACK rejects the 0 x 0 inner matrix of an empty S
+            YS = self.Y[S]
             try:
-                t1 = t1 - kronlinalg.woodbury_correction(
-                    Msub, dsub, Msub[S_tilde], t1[S_tilde], CONDITION_BOUND
+                r = r - kronlinalg.woodbury_correction(
+                    YS.T, ratio[S] - 1.0, YS @ YS.T, YS @ r, CONDITION_BOUND
                 )
             except IllConditionedError:
-                # recoverable: answer from scratch at lam_tilde instead
+                # recoverable: answer from a fresh basis at lam_tilde instead
                 self.counters["query_fallbacks"] += 1
-                return self._project_exact(v)
-        return kron_apply(self.basis, self.basis, khalf_t * t1)
-
-    def _project_exact(self, x):
-        """Exact projection at lam_tilde applied to x, from scratch."""
-        kk = kron_diag(self.lam_tilde, self.lam_tilde)
-        khalf_t = np.sqrt(kk)
-        z = khalf_t * kron_apply(self.basis.T, self.basis.T, x)
-        gram = (self.G * kk[None, :]) @ self.G.T
-        sol = kronlinalg.solve_spd(gram, self.G @ z)
-        return kron_apply(self.basis, self.basis, khalf_t * (self.G.T @ sol))
+                Y = self._core_basis(self.lam_tilde)
+                return Y @ (Y.T @ w)
+        return e * (self.Y @ r)
 
     def query_exactish(self, h):
         """Unsketched reference path: the projection at lam_tilde times h."""
-        return self._project_exact(self._query_vector(h, "query_exactish"))
+        w = kron_apply(self.basis.T, self.basis.T, self._query_vector(h, "query_exactish"))
+        return kron_apply(self.basis, self.basis, self._project(w))
 
     def _query_vector(self, h, what):
         h = np.asarray(h, dtype=float)
@@ -369,15 +344,15 @@ class MaintainedProjection:
             if not ok:
                 raise InvariantError(f"check_invariants: {what}")
 
-        n = self.n
         require(np.all(self.lam >= self.eig_floor), "lam below eig_floor")
         require(self.cursor < self.s, "pool cursor past the last sketch")
-        tol = np.linalg.norm(self.M, "fro") * atol_scale
-        require(np.linalg.norm(self.M - self.M.T, "fro") <= 1e-8 * tol, "M not symmetric")
-        if n <= 8:
-            kk = kron_diag(self.lam, self.lam)
-            resid = self.M @ (kk[:, None] * self.M) - self.M
-            require(np.linalg.norm(resid, "fro") <= 1e-7 * tol, "M (L (x) L) M != M")
+        require(self.Y.shape == (self.n * self.n, self.m), "Y is not n^2 x m")
+        gram_err = np.linalg.norm(self.Y.T @ self.Y - np.eye(self.m), "fro")
+        require(gram_err <= 1e-8 * atol_scale, "Y not orthonormal")
+        # Y's m columns span the range of (L (x) L)^{1/2} G^T at lam
+        B = kron_diag(np.sqrt(self.lam), np.sqrt(self.lam))[:, None] * self.G.T
+        resid = np.linalg.norm(B - self.Y @ (self.Y.T @ B), "fro")
+        require(resid <= 1e-8 * atol_scale * np.linalg.norm(B, "fro"), "Y misses the range at lam")
         ratio = np.abs(np.log(self._last_external) - np.log(self.lam_tilde))
         require(np.max(ratio) <= self.eps_mp / 2.0 + 1e-12, "lam_tilde beyond eps_mp / 2")
 
@@ -408,13 +383,12 @@ class MaintainedProjection:
             "regen_count": self._regen_count - 1,
             "cursor": self.cursor,
             "eig_floor": self.eig_floor,
-            "cum_rank": self._cum_rank,
             "counters": self.counters_dict(),
         }
 
     @classmethod
     def from_snapshot(cls, snap):
-        """Resume from :meth:`snapshot`; corrupt state raises a KronprojError."""
+        """Resume from :meth:`snapshot` bit for bit; corrupt state raises a KronprojError."""
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ParameterError(f"unsupported snapshot version {snap.get('version')}")
         obj = cls.__new__(cls)
@@ -443,7 +417,6 @@ class MaintainedProjection:
             raise ParameterError(f"snapshot: cursor {snap['cursor']} outside the pool of {obj.s}")
         obj.counters = dict(snap["counters"])
         obj.counters["woodbury_ranks"] = list(obj.counters["woodbury_ranks"])
-        obj._cum_rank = snap["cum_rank"]
         obj._build()
         obj.cursor = snap["cursor"]
         return obj

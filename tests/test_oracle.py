@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from kronproj import oracle
-from kronproj.errors import DimensionError, ParameterError
+from kronproj.errors import DimensionError, IllConditionedError, ParameterError
 from kronproj.projmaint import ConstraintBatch
 
 
@@ -51,6 +51,21 @@ class TestExactProjection:
         eigs = np.linalg.eigvalsh(P)
         assert np.all((np.abs(eigs) <= 1e-8) | (np.abs(eigs - 1) <= 1e-8))
         npt.assert_allclose(np.trace(P), m, atol=1e-8)
+
+    def test_matches_high_precision_reference_past_the_gram_guard(self, spread_weight_case):
+        # B B^T has condition ~e^20 here; the QR of B^T needs only B's ~e^10
+        cons, U, lam, ref = spread_weight_case
+        P = oracle.exact_projection(cons, (U * lam) @ U.T)
+        assert np.max(np.abs(P - ref)) <= 1e-12
+
+    def test_ill_conditioned_weight_refused(self):
+        # W^{1/2} from eigh is only as accurate as W's condition allows
+        rng = np.random.default_rng(5)
+        cons = ConstraintBatch(matrix=rng.standard_normal((2, 9)), n=3)
+        with pytest.raises(IllConditionedError):
+            oracle.exact_projection(cons, np.diag([1.0, 1.0, 1e-9]))
+        P = oracle.exact_projection(cons, np.diag([1.0, 1.0, 1e-9]), oracle.LEFT)
+        npt.assert_allclose(P @ P, P, atol=1e-9)
 
     def test_unknown_variant(self):
         rng = np.random.default_rng(4)

@@ -158,15 +158,14 @@ class TestInit:
             MaintainedProjection(cons, np.eye(2), eps_mp=0.5)
 
     def test_qp_consistency_at_init(self):
+        # (U (x) U) Q is the exact projection applied to the sketch stack R^T
         mp, _, _, _ = make_state(3, 4, seed=4)
-        kh = np.sqrt(kron_diag(mp.lam, mp.lam))
-        W1 = kron_apply_block(mp.basis.T, mp.basis.T, mp._RT)
-        npt.assert_allclose(mp.Q, mp.M @ (kh[:, None] * W1), atol=1e-10)
-        # (U (x) U) (L (x) L)^{1/2} Q is the exact projection applied to the sketch stack
         W = (mp.basis * mp.lam) @ mp.basis.T
         proj = oracle.exact_projection(mp.constraints, W)
         npt.assert_allclose(
-            kron_apply_block(mp.basis, mp.basis, kh[:, None] * mp.Q), proj @ mp._RT, atol=1e-8
+            kron_apply_block(mp.basis, mp.basis, mp.Q),
+            proj @ mp.pool.transpose_dense(),
+            atol=1e-8,
         )
 
 
@@ -182,10 +181,10 @@ class TestKronApplyBlock:
 class TestUpdate:
     def test_same_weight_is_noop(self):
         mp, _, U, _ = make_state(4, 5, seed=6)
-        M0 = mp.M.copy()
+        Y0 = mp.Y.copy()
         lt = mp.update(EigenWeight(U, mp.lam.copy()))
         npt.assert_array_equal(lt, mp.lam)
-        npt.assert_array_equal(mp.M, M0)
+        npt.assert_array_equal(mp.Y, Y0)
         assert mp.counters["woodbury_ranks"][-1] == 0
 
     def test_lazy_branch_single_big_eigenvalue(self):
@@ -193,9 +192,9 @@ class TestUpdate:
         mp, _, U, _ = make_state(4, 5, seed=7, eps_mp=0.05, a_exp=0.5)
         lam_new = mp.lam.copy()
         lam_new[1] *= 2.0
-        M0 = mp.M.copy()
+        Y0 = mp.Y.copy()
         lt = mp.update(EigenWeight(U, lam_new))
-        npt.assert_array_equal(mp.M, M0)  # state M untouched
+        npt.assert_array_equal(mp.Y, Y0)  # state Y untouched
         assert lt[1] == lam_new[1]  # lam_tilde absorbs the move
         assert np.all(lt[[0, 2, 3]] == mp.lam[[0, 2, 3]])
         assert mp.counters["woodbury_ranks"][-1] == 0
@@ -246,10 +245,10 @@ class TestUpdate:
 
     def test_pool_regenerated_on_nonlazy_update(self):
         mp, _, U, _ = make_state(4, 5, seed=12)
-        rt0 = mp._RT.copy()
+        r0 = mp.pool[0].to_dense()
         lam_new = mp.lam * np.exp(0.3 * np.ones(4))
         mp.update(EigenWeight(U, lam_new))
-        assert not np.array_equal(mp._RT, rt0)
+        assert not np.array_equal(mp.pool[0].to_dense(), r0)
         assert mp.cursor == 0
 
     def test_rank_is_kronecker_support_of_changed_eigenvalues(self):
@@ -264,40 +263,49 @@ class TestUpdate:
             assert mp.counters["woodbury_ranks"][-1] == 2 * n * size - size * size
             npt.assert_array_equal(mp.lam, lam_new)
 
-    def test_cumulative_rank_trigger(self):
-        # every full-support update has rank n^2, tripping the budget at once
-        mp, _, U, rng = make_state(4, 5, seed=14)
-        lam = mp.lam.copy()
-        for _ in range(3):
-            lam = lam * np.exp(rng.uniform(0.1, 0.3, 4))
-            mp.update(EigenWeight(U, lam))
-        assert mp.counters["full_recomputes"] >= 1
-
     def test_cancelling_woodbury_step_rebuilds(self):
-        # n = m = 1 and lam moved to the floor: the 1 x 1 inner matrix
-        # 1 + M d cancels to roundoff, yet its own condition estimate is 1;
-        # measured against 1 + |M d| the guard trips and M is rebuilt
+        # n = m = 1 and lam moved to the floor: a Woodbury step from the old
+        # core cancelled to roundoff here; the core is now recomputed at the
+        # new lam, and the projection stays the 1 x 1 identity
         cons = ConstraintBatch(matrix=np.array([[0.3]]), n=1)
         mp = MaintainedProjection(cons, EigenWeight(np.eye(1), np.array([0.4])), s=1, b=1)
         mp.update(EigenWeight(np.eye(1), np.array([0.0])))
-        assert mp.counters["full_recomputes"] == 1
+        npt.assert_array_equal(mp.lam, [mp.eig_floor])
+        npt.assert_allclose(mp.query_exactish(np.array([2.0])), [2.0], rtol=1e-15)
         npt.assert_allclose(mp.M, oracle_core(cons, np.eye(1), mp.lam), rtol=1e-12)
         mp.check_invariants()
 
     def test_core_beyond_accuracy_is_refused(self):
-        # two of three eigenvalues at the floor give a Gram matrix with
-        # kappa ~ 3e11; a core built there is off by ~5e-7, so the update
-        # raises and the instance keeps its last accurate state
-        mp, _, U, _ = make_state(3, 2, seed=1, eps_mp=0.01, a_exp=0.1)
-        lam = mp.lam.copy()
-        lam[0] = 0.0
+        # the constraint e_8 reads only the (2, 2) coordinate, so with lam[2]
+        # at the floor its row of (L (x) L)^{1/2} G^T shrinks to 1e-12 and R
+        # has condition ~1e12, past the bound: the update raises and the
+        # instance keeps its last accepted state
+        rng = np.random.default_rng(1)
+        rows = np.vstack([rng.standard_normal(9), np.eye(9)[8]])
+        U = np.eye(3)
+        mp = MaintainedProjection(
+            ConstraintBatch(matrix=rows, n=3), EigenWeight(U, np.ones(3)),
+            eps_mp=0.01, a_exp=0.1, s=2, b=4,
+        )
+        lam = np.ones(3)
+        lam[2] = 0.0  # one drifted eigenvalue: lazy
         mp.update(EigenWeight(U, lam))
         lam_before = mp.lam.copy()
-        lam[1] = 0.0
-        with pytest.raises(IllConditionedError):
+        lam[0] = 2.0  # two drifted eigenvalues: Y is recomputed at the floor
+        with pytest.raises(IllConditionedError, match="core QR"):
             mp.update(EigenWeight(U, lam))
         npt.assert_array_equal(mp.lam, lam_before)
         assert mp.counters["updates"] == len(mp.counters["woodbury_ranks"]) == 1
+        mp.check_invariants()
+
+    def test_lam_spread_past_the_gram_guard(self, spread_weight_case):
+        # lam spans e^10: the Gram matrix of the normal equations has
+        # condition ~e^20, past the bound, while R of the QR core has ~e^10
+        cons, U, lam, ref = spread_weight_case
+        mp = MaintainedProjection(cons, EigenWeight(U, lam), s=2, b=4)
+        h = np.random.default_rng(5).standard_normal(36)
+        err = np.linalg.norm(mp.query_exactish(h) - ref @ h) / np.linalg.norm(ref @ h)
+        assert err <= 1e-12
         mp.check_invariants()
 
     def test_invariants_after_updates(self):
@@ -310,8 +318,8 @@ class TestUpdate:
 
     def test_broken_symmetry_raises_even_under_O(self):
         mp, _, _, _ = make_state(4, 6, seed=16)
-        mp.M[0, 1] += 1.0
-        with pytest.raises(InvariantError, match="symmetric"):
+        mp.Y[0, 1] += 1.0
+        with pytest.raises(InvariantError, match="orthonormal"):
             mp.check_invariants()
         script = (
             "import numpy as np\n"
@@ -321,7 +329,7 @@ class TestUpdate:
             "rng = np.random.default_rng(0)\n"
             "cons = ConstraintBatch(matrix=rng.standard_normal((6, 16)), n=4)\n"
             "mp = MaintainedProjection(cons, EigenWeight(np.eye(4), np.ones(4)))\n"
-            "mp.M[0, 1] += 1.0\n"
+            "mp.Y[0, 1] += 1.0\n"
             "try:\n"
             "    mp.check_invariants()\n"
             "except InvariantError:\n"
@@ -376,18 +384,18 @@ class TestQuery:
         lam = np.exp(rng.uniform(-0.3, 0.3, n))
         mp = MaintainedProjection(cons, EigenWeight(U, lam), s=2, b=4, seed=17)
         h = rng.standard_normal(4)
-        blk = mp._RT[:, : mp.b]
-        want = blk @ (blk.T @ h)  # projection is the identity here
+        R = mp.pool[0].to_dense()
+        want = R.T @ (R @ h)  # projection is the identity here
         npt.assert_allclose(mp.query(h), want, atol=1e-8)
 
     def test_after_init_matches_oracle(self):
         mp, cons, U, rng = make_state(4, 6, seed=18)
         h = rng.standard_normal(16)
-        blk = mp._RT[:, : mp.b].copy()
+        R = mp.pool[0].to_dense()
         out = mp.query(h)
         W = (U * mp.lam) @ U.T
         proj = oracle.exact_projection(cons, W)
-        want = proj @ (blk @ (blk.T @ h))
+        want = proj @ (R.T @ (R @ h))
         assert np.linalg.norm(out - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_lazy_state_query_uses_correction(self):
@@ -397,24 +405,23 @@ class TestQuery:
         lt = mp.update(EigenWeight(U, lam_new))
         assert np.any(lt != mp.lam)
         h = rng.standard_normal(16)
-        cur = mp.cursor
-        blk = mp._RT[:, cur * mp.b : (cur + 1) * mp.b].copy()
+        R = mp.pool[mp.cursor].to_dense()
         out = mp.query(h)
         W_tilde = (U * lt) @ U.T
         proj = oracle.exact_projection(cons, W_tilde)
-        want = proj @ (blk @ (blk.T @ h))
+        want = proj @ (R.T @ (R @ h))
         assert np.linalg.norm(out - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_cursor_advances_and_pool_rolls(self):
         mp, _, _, rng = make_state(3, 4, seed=20, s=2, b=8)
-        rt0 = mp._RT.copy()
+        r0 = mp.pool[0].to_dense()
         h = rng.standard_normal(9)
         mp.query(h)
         assert mp.cursor == 1
         mp.query(h)
         # pool exhausted: regenerated eagerly, cursor reset
         assert mp.cursor == 0
-        assert not np.array_equal(mp._RT, rt0)
+        assert not np.array_equal(mp.pool[0].to_dense(), r0)
 
     def test_sketch_freshness_within_pool(self):
         mp, _, _, rng = make_state(3, 4, seed=21, s=4, b=8)
@@ -440,23 +447,27 @@ class TestQuery:
         assert mp.cursor == 0 and mp.counters["queries"] == 0
 
     def test_condition_fallback_still_exact(self, monkeypatch):
-        # force the inner-solve guard to trip: the query falls back to the
-        # from-scratch path, counts the event, and stays oracle-exact
+        # force the lazy-path guard to trip: the query falls back to a fresh
+        # basis at lam_tilde, counts the event, and stays oracle-exact
         import kronproj.projmaint as pm
+
+        def tripped(*args, **kwargs):
+            raise IllConditionedError("woodbury inner matrix: forced")
 
         mp, cons, U, rng = make_state(4, 6, seed=55)
         lam_new = mp.lam.copy()
         lam_new[1] *= 1.9  # lazy drift so the correction path is active
         lt = mp.update(EigenWeight(U, lam_new))
-        monkeypatch.setattr(pm, "CONDITION_BOUND", 1e-6)
+        monkeypatch.setattr(pm.kronlinalg, "woodbury_correction", tripped)
         h = rng.standard_normal(16)
-        cur = mp.cursor
-        blk = mp._RT[:, cur * mp.b : (cur + 1) * mp.b].copy()
+        R = mp.pool[mp.cursor].to_dense()
         out = mp.query(h)
         assert mp.counters["query_fallbacks"] == 1
         proj = oracle.exact_projection(cons, (U * lt) @ U.T)
-        want = proj @ (blk @ (blk.T @ h))
+        want = proj @ (R.T @ (R @ h))
         assert np.linalg.norm(out - want) <= 1e-8 * np.linalg.norm(want)
+        npt.assert_allclose(mp.query_exactish(h), proj @ h, atol=1e-8)
+        assert mp.counters["query_fallbacks"] == 2
 
 
 class TestQueryExactish:
@@ -492,23 +503,21 @@ class TestSnapshot:
         npt.assert_array_equal(clone_a.lam_tilde, mp.lam_tilde)
         npt.assert_array_equal(clone_a.lam, mp.lam)
         assert clone_a.cursor == mp.cursor
-        # the core is rebuilt from the stored lam: equal to float precision
-        npt.assert_allclose(clone_a.M, mp.M, atol=1e-10)
-        npt.assert_array_equal(clone_a._RT, mp._RT)  # same pool seed
-        # two restores replay bit-identically, and track the donor closely,
-        # across queries, pool rollovers, and further updates
+        # Y is recomputed from the stored lam exactly as the donor computed it
+        npt.assert_array_equal(clone_a.Y, mp.Y)
+        npt.assert_array_equal(clone_a.pool.transpose_dense(), mp.pool.transpose_dense())
+        # two restores replay the donor bit for bit across queries, pool
+        # rollovers, and further updates
         for i in range(6):
             h = rng.standard_normal(16)
             out = mp.query(h)
-            out_a = clone_a.query(h)
-            out_b = clone_b.query(h)
-            npt.assert_array_equal(out_a, out_b)
-            npt.assert_allclose(out_a, out, atol=1e-10)
+            npt.assert_array_equal(clone_a.query(h), out)
+            npt.assert_array_equal(clone_b.query(h), out)
         lam2 = mp.lam * np.exp(rng.uniform(-0.2, 0.2, 4))
         npt.assert_array_equal(
             clone_a.update(EigenWeight(U, lam2)), clone_b.update(EigenWeight(U, lam2))
         )
-        npt.assert_array_equal(clone_a._RT, clone_b._RT)
+        npt.assert_array_equal(clone_a.pool.transpose_dense(), clone_b.pool.transpose_dense())
 
     def test_resumed_instances_keep_their_own_counters(self):
         mp, _, U, rng = make_state(4, 5, seed=29)
@@ -523,6 +532,25 @@ class TestSnapshot:
         assert snap["counters"]["woodbury_ranks"] == ranks_before
         assert len(clone_a.counters["woodbury_ranks"]) == len(ranks_before) + 3
         assert clone_b.counters["woodbury_ranks"] == ranks_before
+
+    def test_resume_after_floor_update_is_bit_identical(self):
+        # an update to the floor once left the donor's core ~2e-9 from the
+        # one a resume rebuilds; both now compute Y from the same lam
+        seed = 2489550845
+        rng = np.random.default_rng(seed)
+        cons = ConstraintBatch(matrix=rng.standard_normal((1, 4)), n=2)
+        U = random_orthogonal(2, rng)
+        lam = np.exp(rng.uniform(-1.0, 1.0, 2))
+        mp = MaintainedProjection(
+            cons, EigenWeight(U, lam), eps_mp=0.01, a_exp=0.1, s=1, b=1, seed=seed
+        )
+        lam = lam * np.exp([0.0, 0.5])
+        lam[0] = 0.0
+        mp.update(EigenWeight(U, lam))
+        clone = MaintainedProjection.from_snapshot(json.loads(json.dumps(mp.snapshot())))
+        for _ in range(50):
+            h = rng.standard_normal(4)
+            npt.assert_array_equal(clone.query(h), mp.query(h))
 
     def test_snapshot_is_json_serializable(self):
         mp, _, _, _ = make_state(3, 4, seed=28)
@@ -556,11 +584,11 @@ class TestSnapshot:
             MaintainedProjection.from_snapshot(snap)
 
     def test_snapshot_with_age_trigger_fields_loads(self):
-        # snapshots written while the rebuild_every age trigger existed
-        # carry two more keys; they are ignored on restore
+        # snapshots written while the rebuild_every age trigger and the rank
+        # budget existed carry three more keys; they are ignored on restore
         mp, _, U, rng = make_state(4, 5, seed=31)
         mp.update(EigenWeight(U, mp.lam * np.exp(rng.uniform(-0.2, 0.2, 4))))
-        snap = dict(mp.snapshot(), rebuild_every=256, updates_since_build=1)
+        snap = dict(mp.snapshot(), rebuild_every=256, updates_since_build=1, cum_rank=40)
         clone = MaintainedProjection.from_snapshot(snap)
         h = rng.standard_normal(16)
         npt.assert_allclose(clone.query(h), mp.query(h), atol=1e-10)
@@ -623,13 +651,13 @@ class MaintainedProjectionMachine(RuleBasedStateMachine):
 
     def _query(self, mp, h):
         """mp.query(h) and R_l^T R_l h, or None when the query raises."""
-        blk = mp._RT[:, mp.cursor * mp.b : (mp.cursor + 1) * mp.b].copy()
+        R = mp.pool[mp.cursor].to_dense()
         try:
             out = mp.query(h)
         except KronprojError:
             return None
         assert np.all(np.isfinite(out))
-        return out, blk @ (blk.T @ h)
+        return out, R.T @ (R @ h)
 
     @rule(data=st.data())
     def query(self, data):
@@ -655,7 +683,7 @@ class MaintainedProjectionMachine(RuleBasedStateMachine):
         got, mine = self._query(clone, h), self._query(self.mp, h)
         if got is not None and mine is not None:
             npt.assert_array_equal(got[1], mine[1])  # same sketch
-            assert np.linalg.norm(got[0] - mine[0]) <= 1e-10 * np.linalg.norm(mine[0])
+            npt.assert_array_equal(got[0], mine[0])
         self.mp = clone
 
     @invariant()
