@@ -42,21 +42,20 @@ NORM_MODE = "norm"
 SET_MODE = "setquery"
 
 
-def norm_wrapper_params(T, u_bound, alpha, delta, scale=1.0, delta0_divisor=2.0):
+def norm_wrapper_params(T, u_bound, alpha, delta, scale=1.0):
     """Copy and subsample counts for the norm-mode wrapper.
 
     Returns (q, L, delta0) with q = ceil(8 ln(log_{1+alpha}(U) T / (alpha
-    delta))) and L = ceil(scale * 600 q sqrt(4 T ln(400/delta0))).  The
-    delta0 divisor (delta0 = delta / (divisor * T)) is exposed because the
-    choice is ambiguous; 2 reproduces the closed form used throughout.
+    delta))), delta0 = delta / (2T) and
+    L = ceil(scale * 600 q sqrt(4 T ln(400/delta0))).
     """
     if T < 1 or not 0.0 < alpha < 1.0 or not 0.0 < delta < 1.0:
         raise ParameterError("invalid (T, alpha, delta)")
-    if u_bound <= 1.0 or scale <= 0.0 or delta0_divisor <= 0.0:
-        raise ParameterError("invalid (u_bound, scale, delta0_divisor)")
+    if u_bound <= 1.0 or scale <= 0.0:
+        raise ParameterError("invalid (u_bound, scale)")
     log_grid = math.log(u_bound) / math.log1p(alpha)
     q = max(1, math.ceil(C_Q * math.log(max(log_grid * T / (alpha * delta), math.e))))
-    delta0 = delta / (delta0_divisor * T)
+    delta0 = delta / (2.0 * T)
     L = math.ceil(scale * C_L_NORM * q * math.sqrt(4.0 * T * math.log(400.0 / delta0)))
     return q, max(L, q), delta0
 
@@ -184,7 +183,6 @@ def make_norm_wrapper(
     seed=0,
     q_override=None,
     L_override=None,
-    delta0_divisor=2.0,
 ):
     """Wrap an oblivious norm estimator for adaptive queries.
 
@@ -192,13 +190,10 @@ def make_norm_wrapper(
     runs; the formula values are kept in ``params`` so reports always show
     both.
     """
-    q_raw, L_raw, delta0 = norm_wrapper_params(
-        T, u_bound, alpha, delta, scale, delta0_divisor
-    )
+    q_raw, L_raw, delta0 = norm_wrapper_params(T, u_bound, alpha, delta, scale)
     return _build_wrapper(
         NORM_MODE, factory, seed, (q_raw, L_raw), (q_override, L_override), "delta0", delta0,
         T=T, u_bound=u_bound, alpha=alpha, delta=delta, scale=scale,
-        delta0_divisor=delta0_divisor,
     )
 
 
@@ -222,15 +217,6 @@ def make_setquery_wrapper(
     )
 
 
-def _clamp_to_domain(wrapper, value):
-    """Force a raw estimate into the signed range [-U, U]; count overflows."""
-    u = wrapper.grid.u_bound
-    if abs(value) > u:
-        wrapper.counters["overflow_clamps"] += 1
-        return math.copysign(u, value)
-    return value
-
-
 def _fanout_update(wrapper, G_t, h_t):
     if wrapper.step >= wrapper.T:
         raise ParameterError("step budget exhausted")
@@ -239,6 +225,41 @@ def _fanout_update(wrapper, G_t, h_t):
     wrapper.counters["copy_updates"] += wrapper.L
     sampled = wrapper.rng.integers(0, wrapper.L, size=wrapper.q)
     return sampled
+
+
+def _private_step(wrapper, G_t, h_t, query, **info):
+    """Update every copy, then privately aggregate a subsample of q of them.
+
+    ``query(copy)`` gives a copy's k outputs (one in norm mode).  The q x k
+    block is clamped to [-U, U], rounded onto the grid, and reduced to k
+    private medians, one per column, in one array pass.  ``last_step_info``
+    has the same keys in both modes (plus ``info``); norm mode reports its
+    single column as scalars and length-q lists.
+    """
+    sampled = _fanout_update(wrapper, G_t, h_t)
+    raw = np.array([query(wrapper.copies[l]) for l in sampled], dtype=float)
+    raw = raw.reshape(wrapper.q, wrapper.k)
+    wrapper.counters["inner_queries"] += wrapper.q
+    u_bound = wrapper.grid.u_bound
+    wrapper.counters["overflow_clamps"] += int(np.count_nonzero(np.abs(raw) > u_bound))
+    rounded = round_to_grid(np.clip(raw, -u_bound, u_bound), wrapper.grid)
+    u = private_median(
+        rounded, wrapper.grid, wrapper.eps_pm, wrapper.median_beta, rng=wrapper.rng
+    )
+    rank_error = median_rank_error(rounded, u)
+    if wrapper.mode == NORM_MODE:
+        raw, rounded, u, rank_error = raw[:, 0], rounded[:, 0], u[0], rank_error[0]
+    wrapper.last_step_info = {
+        "t": wrapper.step,
+        **info,
+        "sampled": sampled.tolist(),
+        "raw": raw.tolist(),
+        "rounded": rounded.tolist(),
+        "u": u.tolist(),
+        "rank_error": rank_error.tolist(),
+    }
+    wrapper.step += 1
+    return u
 
 
 def norm_step(wrapper, G_t, h_t):
@@ -251,25 +272,7 @@ def norm_step(wrapper, G_t, h_t):
     """
     if wrapper.mode != NORM_MODE:
         raise ParameterError("norm_step called on a set-query wrapper")
-    sampled = _fanout_update(wrapper, G_t, h_t)
-    raw = [wrapper.copies[l].query() for l in sampled]
-    wrapper.counters["inner_queries"] += wrapper.q
-    rounded = [
-        round_to_grid(_clamp_to_domain(wrapper, f), wrapper.grid) for f in raw
-    ]
-    u_t = private_median(
-        rounded, wrapper.grid, wrapper.eps_pm, wrapper.median_beta, rng=wrapper.rng
-    )
-    wrapper.last_step_info = {
-        "t": wrapper.step,
-        "sampled": [int(l) for l in sampled],
-        "raw": [float(f) for f in raw],
-        "rounded": [float(f) for f in rounded],
-        "u": float(u_t),
-        "rank_error": float(median_rank_error(rounded, u_t)),
-    }
-    wrapper.step += 1
-    return u_t
+    return float(_private_step(wrapper, G_t, h_t, lambda copy: copy.query()))
 
 
 def setquery_step(wrapper, G_t, h_t, Q_t):
@@ -279,29 +282,9 @@ def setquery_step(wrapper, G_t, h_t, Q_t):
     Q_t = [int(j) for j in Q_t]
     if len(Q_t) != wrapper.k:
         raise DimensionError(f"expected |Q_t| = {wrapper.k}, got {len(Q_t)}")
-    sampled = _fanout_update(wrapper, G_t, h_t)
-    outputs = np.stack([wrapper.copies[l].query_set(Q_t) for l in sampled])
-    wrapper.counters["inner_queries"] += wrapper.q
-    u = np.empty(wrapper.k)
-    rank_errors = []
-    for j in range(wrapper.k):
-        rounded = [
-            round_to_grid(_clamp_to_domain(wrapper, f), wrapper.grid)
-            for f in outputs[:, j]
-        ]
-        u[j] = private_median(
-            rounded, wrapper.grid, wrapper.eps_pm, wrapper.median_beta, rng=wrapper.rng
-        )
-        rank_errors.append(float(median_rank_error(rounded, u[j])))
-    wrapper.last_step_info = {
-        "t": wrapper.step,
-        "coords": Q_t,
-        "sampled": [int(l) for l in sampled],
-        "u": [float(x) for x in u],
-        "rank_errors": rank_errors,
-    }
-    wrapper.step += 1
-    return u
+    return _private_step(
+        wrapper, G_t, h_t, lambda copy: copy.query_set(Q_t), coords=Q_t
+    )
 
 
 class ExactNormEstimator:

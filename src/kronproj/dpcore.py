@@ -89,33 +89,37 @@ class SignedGeometricGrid:
 def round_to_grid(v, grid):
     """Round up in magnitude to the nearest grid power of (1+alpha).
 
+    Works elementwise on an array of any shape; a scalar gives a float.
     Zero maps to zero; magnitudes below the smallest grid magnitude are
     clamped up to it (the oblivious estimators may emit tiny nonzero
     values).  Magnitudes beyond u_bound*(1+alpha) are rejected; the sliver
     between the largest grid magnitude and that limit saturates.  The
     result r satisfies |v| <= |r| <= (1+alpha)|v| up to 1e-12 relative.
     """
-    v = float(v)
-    if v == 0.0:
-        return 0.0
+    v = np.asarray(v, dtype=float)
     mags = grid.magnitudes
-    av = abs(v)
-    if av > grid.u_bound * (1.0 + grid.alpha) * (1.0 + _REL_FUZZ):
-        raise GridDomainError(f"|{v!r}| exceeds the grid range")
-    sign = 1.0 if v > 0 else -1.0
-    idx = int(np.searchsorted(mags, av * (1.0 - _REL_FUZZ), side="left"))
-    if idx >= mags.size:
-        idx = mags.size - 1
-    return sign * mags[idx]
+    av = np.abs(v)
+    over = av > grid.u_bound * (1.0 + grid.alpha) * (1.0 + _REL_FUZZ)
+    if np.any(over):
+        raise GridDomainError(f"|{float(v[over].flat[0])!r}| exceeds the grid range")
+    idx = np.minimum(np.searchsorted(mags, av * (1.0 - _REL_FUZZ), side="left"), mags.size - 1)
+    r = np.where(v == 0.0, 0.0, np.where(v > 0, 1.0, -1.0) * mags[idx])
+    return float(r) if r.ndim == 0 else r
 
 
 def median_rank_error(values, x):
-    """How far x falls short of being a median of the multiset."""
-    values = np.sort(np.asarray(values, dtype=float))
-    half = values.size / 2.0
-    ge = values.size - np.searchsorted(values, x, side="left")
-    le = np.searchsorted(values, x, side="right")
-    return max(0.0, half - ge, half - le)
+    """How far x falls short of being a median of the multiset.
+
+    For a (q, k) block of values and k candidates x, returns the k rank
+    errors, one per column; 1-D values and a scalar x give a float.
+    """
+    values = np.asarray(values, dtype=float)
+    cols = values.reshape(values.shape[0], -1)
+    half = cols.shape[0] / 2.0
+    ge = np.count_nonzero(cols >= x, axis=0)
+    le = np.count_nonzero(cols <= x, axis=0)
+    err = np.maximum(0.0, np.maximum(half - ge, half - le))
+    return float(err[0]) if values.ndim == 1 else err
 
 
 def private_median(values, grid, epsilon, beta=0.05, seed=0, rng=None):
@@ -129,6 +133,10 @@ def private_median(values, grid, epsilon, beta=0.05, seed=0, rng=None):
     output misses a true median by at most O(log(|grid|/beta)/epsilon)
     ranks.  Cumulative weights are accumulated in extended precision and
     inverted directly (no Gumbel trick) for reproducibility under seeding.
+
+    A (q, k) block gives k independent medians, one per column, from the
+    k draws ``rng.random(k)``: the same doubles as k scalar draws, so the
+    answers equal k separate 1-D calls.  1-D values give a float.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -138,21 +146,27 @@ def private_median(values, grid, epsilon, beta=0.05, seed=0, rng=None):
     if not 0.0 < beta < 1.0:
         raise ParameterError("beta must lie in (0, 1)")
     pts = grid.points
-    sv = np.sort(values)
+    cols = values.reshape(values.shape[0], -1)
+    n, k = cols.shape
     # every value must be an exact grid point
-    vidx = np.searchsorted(pts, sv)
-    if np.any(vidx >= pts.size) or np.any(pts[np.clip(vidx, 0, pts.size - 1)] != sv):
+    vidx = np.searchsorted(pts, cols)
+    if np.any(vidx >= pts.size) or np.any(pts[np.minimum(vidx, pts.size - 1)] != cols):
         raise GridDomainError("private_median input contains off-grid values")
-    below = np.searchsorted(sv, pts, side="left")
-    above = sv.size - np.searchsorted(sv, pts, side="right")
-    utility = np.maximum(np.maximum(below, above) - math.ceil(sv.size / 2), 0)
-    logw = -0.5 * epsilon * (utility - utility.min())
-    weights = np.exp(logw.astype(np.longdouble))
-    cum = np.cumsum(weights)
+    # counts[i, j]: how many values of column j equal pts[i]
+    offsets = np.arange(k) * pts.size
+    counts = np.bincount((vidx + offsets).ravel(), minlength=k * pts.size)
+    counts = counts.reshape(k, pts.size).T
+    at_or_below = np.cumsum(counts, axis=0)
+    below = at_or_below - counts
+    above = n - at_or_below
+    utility = np.maximum(np.maximum(below, above) - math.ceil(n / 2), 0)
+    logw = -0.5 * epsilon * (utility - utility.min(axis=0))
+    cum = np.cumsum(np.exp(logw.astype(np.longdouble)), axis=0)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
-    r = np.longdouble(rng.random()) * cum[-1]
-    return float(pts[int(np.searchsorted(cum, r, side="right"))])
+    r = rng.random(k).astype(np.longdouble) * cum[-1]
+    out = pts[np.count_nonzero(cum <= r, axis=0)]
+    return float(out[0]) if values.ndim == 1 else out
 
 
 def simple_composition(budgets):

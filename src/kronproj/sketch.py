@@ -24,7 +24,6 @@ SPARSE_EMBEDDING = "sparse_embedding"
 FAMILY_TAGS = (GAUSSIAN, SRHT, AMS, COUNTSKETCH, SPARSE_EMBEDDING)
 
 _P = np.uint64((1 << 31) - 1)  # Mersenne prime for polynomial hashing
-_SHIFT = np.uint64(31)
 _ONE = np.uint64(1)
 
 
@@ -64,16 +63,6 @@ class SketchFamily:
         return cls(SPARSE_EMBEDDING, sparsity=sparsity)
 
 
-def _mod_p(x):
-    """Reduce uint64 values modulo 2^31 - 1 (inputs may use all 64 bits)."""
-    x = (x >> _SHIFT) + (x & _P)
-    x = (x >> _SHIFT) + (x & _P)
-    x = (x >> _SHIFT) + (x & _P)
-    x = x.copy() if isinstance(x, np.ndarray) else np.asarray(x)
-    x[x >= _P] -= _P
-    return x
-
-
 def _domain_powers(xs, degree):
     """Stack [x^1, ..., x^(degree-1)] mod p for a fixed hash domain."""
     xs = np.asarray(xs, dtype=np.uint64)
@@ -81,7 +70,7 @@ def _domain_powers(xs, degree):
         raise ParameterError("hash domain exceeds the Mersenne prime")
     powers = [xs]
     for _ in range(degree - 2):
-        powers.append(_mod_p(powers[-1] * xs))
+        powers.append(powers[-1] * xs % _P)
     return powers
 
 
@@ -95,7 +84,7 @@ def _poly_hash(coeffs, powers):
     acc = np.broadcast_to(coeffs[:, :1], (coeffs.shape[0], powers[0].size)).copy()
     for j, pw in enumerate(powers, start=1):
         acc += coeffs[:, j : j + 1] * pw[None, :]
-    return _mod_p(acc)
+    return acc % _P
 
 
 def _hash_coeffs(rng, m, degree):

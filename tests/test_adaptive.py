@@ -47,11 +47,6 @@ class TestParams:
         q, L, _ = ad.norm_wrapper_params(1, 1.001, 0.9, 0.999, scale=1e-12)
         assert q >= 1 and L >= q
 
-    def test_delta0_divisor_exposed(self):
-        _, _, d2 = ad.norm_wrapper_params(10, 4.0, 0.5, 0.1, delta0_divisor=2.0)
-        _, _, d4 = ad.norm_wrapper_params(10, 4.0, 0.5, 0.1, delta0_divisor=4.0)
-        assert d2 == 0.1 / 20 and d4 == 0.1 / 40
-
     def test_setquery_params_formula(self):
         T, k, delta = 50, 8, 0.1
         q, L, beta = ad.setquery_wrapper_params(T, k, 2.0**10, 0.25, delta)
@@ -179,6 +174,91 @@ class TestWrapperMechanics:
         w = self._norm_wrapper()
         with pytest.raises(ParameterError):
             ad.setquery_step(w, np.eye(3), np.ones(3), [0])
+
+
+class NoisyStub:
+    """Seeded estimator whose outputs mix zeros, tiny values, values inside
+    the domain and values beyond U = 4."""
+
+    POOL = np.array([0.0, 1e-9, -1e-9, 0.25, 4.0, 5.0, -1e3])
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def update(self, G, h):
+        pass
+
+    def _draw(self, size):
+        v = self.rng.standard_normal(size) * 2.0
+        mask = self.rng.random(size) < 0.4
+        v[mask] = self.rng.choice(self.POOL, size=int(mask.sum()))
+        return v
+
+    def query(self):
+        return float(self._draw(1)[0])
+
+    def query_set(self, Q):
+        return self._draw(len(Q))
+
+
+def _loop_step(w, query, **info):
+    """The per-coordinate scalar loop the wrapper's array pass replaces."""
+    sampled = ad._fanout_update(w, np.eye(3), np.ones(3))
+    raw = [query(w.copies[l]) for l in sampled]
+    w.counters["inner_queries"] += w.q
+    outputs = np.array(raw, dtype=float).reshape(w.q, -1)
+    u, rounded_cols, errs = [], [], []
+    for j in range(outputs.shape[1]):
+        col = []
+        for f in outputs[:, j]:
+            if abs(f) > w.grid.u_bound:
+                w.counters["overflow_clamps"] += 1
+                f = math.copysign(w.grid.u_bound, f)
+            col.append(ad.round_to_grid(f, w.grid))
+        u.append(ad.private_median(col, w.grid, w.eps_pm, w.median_beta, rng=w.rng))
+        errs.append(float(ad.median_rank_error(col, u[-1])))
+        rounded_cols.append(col)
+    rounded = [list(row) for row in zip(*rounded_cols)]
+    raw = outputs.tolist()
+    if w.mode == ad.NORM_MODE:
+        raw, rounded, u, errs = [r[0] for r in raw], [r[0] for r in rounded], u[0], errs[0]
+    w.last_step_info = {"t": w.step, **info, "sampled": [int(l) for l in sampled],
+                        "raw": raw, "rounded": rounded, "u": u, "rank_error": errs}
+    w.step += 1
+    return u
+
+
+class TestArrayPassMatchesScalarLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_norm_wrapper(self, seed):
+        a, b = (
+            ad.make_norm_wrapper(NoisyStub, 40, 4.0, 0.25, 0.1,
+                                 seed=seed, q_override=7, L_override=16)
+            for _ in range(2)
+        )
+        for _ in range(40):
+            u = ad.norm_step(a, np.eye(3), np.ones(3))
+            assert u == _loop_step(b, lambda c: c.query())
+            assert a.last_step_info == b.last_step_info
+        assert a.counters == b.counters
+        assert a.counters["overflow_clamps"] > 0
+        assert a.rng.random() == b.rng.random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_setquery_wrapper(self, seed):
+        a, b = (
+            ad.make_setquery_wrapper(NoisyStub, 40, 8, 4.0, 0.25, 0.1,
+                                     seed=seed, q_override=7, L_override=16)
+            for _ in range(2)
+        )
+        coords = list(range(8))
+        for _ in range(40):
+            u = ad.setquery_step(a, np.eye(3), np.ones(3), coords)
+            assert u.tolist() == _loop_step(b, lambda c: c.query_set(coords), coords=coords)
+            assert a.last_step_info == b.last_step_info
+        assert a.counters == b.counters
+        assert a.counters["overflow_clamps"] > 0
+        assert a.rng.random() == b.rng.random()
 
 
 class TestNormAccuracy:

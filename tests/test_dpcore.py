@@ -191,6 +191,109 @@ class TestMedianRankError:
         assert dp.median_rank_error(vals, 5.0) == 2.0
 
 
+def _scalar_round_to_grid(v, grid):
+    """Scalar reference: one value at a time, as the wrapper once looped."""
+    v = float(v)
+    if v == 0.0:
+        return 0.0
+    mags = grid.magnitudes
+    av = abs(v)
+    if av > grid.u_bound * (1.0 + grid.alpha) * (1.0 + 1e-12):
+        raise GridDomainError(f"|{v!r}| exceeds the grid range")
+    sign = 1.0 if v > 0 else -1.0
+    idx = int(np.searchsorted(mags, av * (1.0 - 1e-12), side="left"))
+    return sign * mags[min(idx, mags.size - 1)]
+
+
+def _sorted_median_rank_error(values, x):
+    """Scalar reference on one 1-D multiset, via a sort."""
+    values = np.sort(np.asarray(values, dtype=float))
+    half = values.size / 2.0
+    ge = values.size - np.searchsorted(values, x, side="left")
+    le = np.searchsorted(values, x, side="right")
+    return max(0.0, half - ge, half - le)
+
+
+def _sorted_private_median(values, grid, epsilon, rng):
+    """Scalar reference on one 1-D multiset: sort, rank by searchsorted,
+    one scalar draw."""
+    pts = grid.points
+    sv = np.sort(np.asarray(values, dtype=float))
+    below = np.searchsorted(sv, pts, side="left")
+    above = sv.size - np.searchsorted(sv, pts, side="right")
+    utility = np.maximum(np.maximum(below, above) - math.ceil(sv.size / 2), 0)
+    logw = -0.5 * epsilon * (utility - utility.min())
+    cum = np.cumsum(np.exp(logw.astype(np.longdouble)))
+    r = np.longdouble(rng.random()) * cum[-1]
+    return float(pts[int(np.searchsorted(cum, r, side="right"))])
+
+
+class TestArrayPrimitivesMatchScalarLoop:
+    """The array forms equal a per-value / per-column loop bit for bit."""
+
+    def _block(self, rng, grid, q, k):
+        u = grid.u_bound
+        pool = np.array([0.0, 1e-9, -1e-9, 1.0 / u, u, u * 1.1, -u])
+        v = rng.standard_normal((q, k)) * rng.choice([0.01, 1.0, u / 2], size=(q, k))
+        mask = rng.random((q, k)) < 0.3
+        v[mask] = rng.choice(pool, size=int(mask.sum()))
+        return v
+
+    def test_round_to_grid_block(self):
+        rng = np.random.default_rng(50)
+        for alpha, u in [(0.25, 2.0), (0.5, 16.0), (1.0, 8.0)]:
+            g = dp.SignedGeometricGrid(u, alpha)
+            for _ in range(200):
+                top = u * (1.0 + alpha)  # the saturating sliver stays in range
+                v = np.clip(self._block(rng, g, 7, 8), -top, top)
+                got = dp.round_to_grid(v, g)
+                want = np.array([[_scalar_round_to_grid(x, g) for x in row] for row in v])
+                assert got.tobytes() == want.tobytes()
+                for x in v[0]:
+                    assert dp.round_to_grid(x, g) == _scalar_round_to_grid(x, g)
+
+    def test_round_to_grid_rejects_any_out_of_range(self):
+        g = dp.SignedGeometricGrid(16.0, 0.5)
+        v = np.ones((3, 4))
+        v[2, 1] = -16.0 * 1.5 * 1.01
+        with pytest.raises(GridDomainError):
+            dp.round_to_grid(v, g)
+
+    @pytest.mark.parametrize("q,k", [(7, 8), (1, 1), (20, 3), (6, 1)])
+    def test_private_median_and_rank_error_block(self, q, k):
+        rng = np.random.default_rng(51 + q * k)
+        g = dp.SignedGeometricGrid(2.0, 0.25)
+        for eps in (0.25, 1.0):
+            for _ in range(100):
+                block = dp.round_to_grid(np.clip(self._block(rng, g, q, k), -2.0, 2.0), g)
+                seed = int(rng.integers(2**32))
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = dp.private_median(block, g, eps, 0.05, rng=a)
+                want = np.array(
+                    [_sorted_private_median(block[:, j], g, eps, b) for j in range(k)]
+                )
+                assert got.tobytes() == want.tobytes()
+                assert a.random() == b.random()  # same number of draws
+                errs = dp.median_rank_error(block, got)
+                want_errs = np.array(
+                    [_sorted_median_rank_error(block[:, j], got[j]) for j in range(k)]
+                )
+                assert errs.tobytes() == want_errs.tobytes()
+                col = block[:, 0]
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                x = dp.private_median(col, g, eps, 0.05, rng=a)
+                assert x == _sorted_private_median(col, g, eps, b)
+                assert a.random() == b.random()
+                assert dp.median_rank_error(col, x) == _sorted_median_rank_error(col, x)
+
+    def test_private_median_rejects_off_grid_in_any_column(self):
+        g = dp.SignedGeometricGrid(16.0, 0.5)
+        block = np.full((4, 3), g.points[5])
+        block[3, 2] = 0.123
+        with pytest.raises(GridDomainError):
+            dp.private_median(block, g, 0.5)
+
+
 class TestComposition:
     def test_simple_example(self):
         got = dp.simple_composition(

@@ -75,14 +75,14 @@ class TestMaintenanceExperiment:
         )
         rep = harness.run_maintenance_experiment(cfg, eps_mp=0.09, check_oracle=False)
         assert rep.summary["total_woodbury_rank"] == 0
-        assert rep.counters["full_recomputes"] == 0
 
     def test_bursty_recompute_counter_bounded(self):
         cfg = harness.DriftConfig(
             n=8, m=8, T=100, C1=0.5, C2=0.0, rank_pattern="bursty", seed=8
         )
         rep = harness.run_maintenance_experiment(cfg, check_oracle=False)
-        assert rep.counters["full_recomputes"] < 100 / 10
+        non_lazy = sum(r > 0 for r in rep.counters["woodbury_ranks"])
+        assert non_lazy < 100 / 10
 
     def test_report_bytes_deterministic(self):
         cfg = harness.DriftConfig(n=4, m=5, T=10, C1=0.2, seed=9)

@@ -88,6 +88,23 @@ class TestGenerate:
         R = s.to_dense()
         npt.assert_allclose(np.abs(R), np.full((32, 100), 1 / np.sqrt(32)))
 
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_poly_hash_matches_python_ints(self, degree):
+        p = (1 << 31) - 1
+        rng = np.random.default_rng(10)
+        xs = np.concatenate([np.arange(8), p - 1 - np.arange(8), rng.integers(0, p, 48)])
+        coeffs = rng.integers(0, p, size=(6, degree), dtype=np.int64)
+        coeffs[0] = p - 1  # every term and the accumulator at their largest
+        coeffs[1, :2] = [p - 1, p - 2]
+        coeffs[2] = 0
+        got = sk._poly_hash(coeffs.astype(np.uint64), sk._domain_powers(xs, degree))
+        want = [
+            [sum(int(c) * int(x) ** j for j, c in enumerate(row)) % p for x in xs]
+            for row in coeffs
+        ]
+        assert got.dtype == np.uint64
+        assert got.tolist() == want
+
     def test_srht_pads_and_scales(self):
         s = sk.generate(sk.SketchFamily.srht(), 4, 5, seed=9)
         assert s._rep["n_pad"] == 8
