@@ -282,9 +282,26 @@ def setquery_step(wrapper, G_t, h_t, Q_t):
     Q_t = [int(j) for j in Q_t]
     if len(Q_t) != wrapper.k:
         raise DimensionError(f"expected |Q_t| = {wrapper.k}, got {len(Q_t)}")
+    n = np.shape(G_t)[0]
+    if not all(0 <= j < n for j in Q_t):
+        raise DimensionError(f"coordinates {Q_t} outside [0, {n})")
     return _private_step(
         wrapper, G_t, h_t, lambda copy: copy.query_set(Q_t), coords=Q_t
     )
+
+
+def _clamp_to_domain(vals, u_bound):
+    """Push nonzero magnitudes into [1/U, U], keeping signs and zeros.
+
+    Returns the clamped array and how many values lay past U; without a
+    ``u_bound`` the values pass through.
+    """
+    vals = np.asarray(vals, dtype=float)
+    if u_bound is None:
+        return vals, 0
+    mag = np.clip(np.abs(vals), 1.0 / u_bound, u_bound)
+    out = np.where(vals == 0.0, vals, np.copysign(mag, vals))
+    return out, int(np.count_nonzero(np.abs(vals) > u_bound))
 
 
 class ExactNormEstimator:
@@ -299,19 +316,11 @@ class ExactNormEstimator:
         self._G = np.asarray(G, dtype=float)
         self._h = np.asarray(h, dtype=float)
 
-    def _clamp(self, v):
-        if self.u_bound is None or v == 0.0:
-            return v
-        return float(np.clip(abs(v), 1.0 / self.u_bound, self.u_bound)) * (
-            1.0 if v >= 0 else -1.0
-        )
-
     def query(self):
-        return self._clamp(oracle.exact_norm(self._G, self._h))
+        return float(_clamp_to_domain(oracle.exact_norm(self._G, self._h), self.u_bound)[0])
 
     def query_set(self, Q):
-        vals = oracle.exact_set_query(self._G, self._h, Q)
-        return np.array([self._clamp(v) for v in vals])
+        return _clamp_to_domain(oracle.exact_set_query(self._G, self._h, Q), self.u_bound)[0]
 
 
 class SketchedNormEstimator:
@@ -345,27 +354,22 @@ class SketchedNormEstimator:
         G = self._G() if callable(self._G) else self._G
         return np.asarray(G, dtype=float)
 
-    def _clamp(self, v):
-        if self.u_bound is None or v == 0.0:
-            return float(v)
-        if abs(v) > self.u_bound:
-            self.overflow_clamps += 1
-        return float(np.clip(abs(v), 1.0 / self.u_bound, self.u_bound)) * (
-            1.0 if v >= 0 else -1.0
-        )
+    def _clamp(self, vals):
+        vals, overflows = _clamp_to_domain(vals, self.u_bound)
+        self.overflow_clamps += overflows
+        return vals
 
     def query(self):
         z = self._sketch.apply(self._h)
         y = self._sketch.apply_adjoint(z)
-        return self._clamp(oracle.exact_norm(self._matrix(), y))
+        return float(self._clamp(oracle.exact_norm(self._matrix(), y)))
 
     def query_set(self, Q):
         G = self._matrix()
         idx = np.asarray(list(Q), dtype=int)
         z = self._sketch.apply(self._h)
         RG = self._sketch.apply(G[idx].T)
-        vals = (z @ RG) ** 2
-        return np.array([self._clamp(v) for v in vals])
+        return self._clamp((z @ RG) ** 2)
 
 
 def sketched_norm_estimator(family, b, seed, u_bound=None):

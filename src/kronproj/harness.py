@@ -10,7 +10,7 @@ and go to the log).
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,17 +84,7 @@ class DriftConfig:
             raise ParameterError(f"unknown rank pattern {self.rank_pattern!r}")
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "m": self.m,
-            "T": self.T,
-            "C1": self.C1,
-            "C2": self.C2,
-            "rank_pattern": self.rank_pattern,
-            "sparse_k": self.sparse_k,
-            "burst_prob": self.burst_prob,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _drift_step(rng, n, C1, C2, coords):

@@ -1,17 +1,21 @@
 """Sketching families with seeded generation and fast application.
 
 Five families are supported: dense Gaussian, subsampled randomized
-Hadamard (SRHT), AMS, CountSketch, and sparse embedding.  CountSketch is
-the sparse embedding with sparsity 1 and shares its code.  Hash-based
+Hadamard (SRHT), AMS, CountSketch, and sparse embedding.  Each sketch holds
+one operator: a dense array (Gaussian, AMS), a ``scipy.sparse`` CSC array
+with s signed entries per column (sparse embedding; CountSketch is the
+sparse embedding with sparsity 1 and shares its code), or the signs and
+sampled rows of a Hadamard transform (SRHT).  Hash-based
 families use k-wise independent polynomial hashing over the Mersenne
 prime 2^31 - 1 (degree 4 for 4-wise, degree 2 for 2-wise) rather than
 full randomness.  Every sketch is a deterministic function of
 (family, b, n, seed).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimensionError, ParameterError
 
@@ -132,105 +136,72 @@ def _next_pow2(n):
     return p
 
 
-def _hadamard_rows(rows, n):
-    """Selected rows of the unnormalized Sylvester-Hadamard matrix."""
-    r = np.asarray(rows, dtype=np.uint64)[:, None]
-    c = np.arange(n, dtype=np.uint64)[None, :]
-    v = r & c
-    for s in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(s)
-    return 1.0 - 2.0 * (v & _ONE).astype(np.float64)
+@dataclass(frozen=True)
+class _SRHT:
+    """R = scale * P H D / sqrt(n_pad) on the first n columns: D the signs,
+    H the padded Sylvester-Hadamard transform, P the b sampled rows."""
+
+    signs: np.ndarray
+    rows: np.ndarray
+    scale: float
+    n_pad: int
 
 
 @dataclass
 class Sketch:
     """One sketching matrix R of shape b x n, applied via :meth:`apply`.
 
-    The representation is family specific: dense values for Gaussian/AMS,
-    hash tables for CountSketch/sparse embedding, diagonal signs plus
-    sampled rows for SRHT.  Instances are immutable after generation and
-    safe for concurrent reads.
+    ``R`` is the operator itself: a dense array for Gaussian and AMS, a
+    ``scipy.sparse`` CSC array with s signed entries per column for
+    CountSketch and the sparse embedding, and for SRHT the signs, sampled
+    rows and scale of a transform applied through :func:`fwht`.
+    Instances are immutable after generation and safe for concurrent reads.
     """
 
     family: SketchFamily
     b: int
     n: int
     seed: int
-    _rep: dict = field(repr=False)
+    R: object = field(repr=False)
+
+    @staticmethod
+    def _operand(x, dim, name):
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != dim:
+            raise DimensionError(
+                f"{name}: expected a vector or column stack of leading dim {dim}, "
+                f"got shape {x.shape}"
+            )
+        return x
 
     def apply(self, x):
         """Compute R x for a length-n vector (or n x k column stack)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n:
-            raise DimensionError(f"apply: expected leading dim {self.n}, got {x.shape}")
-        squeeze = x.ndim == 1
-        X = x[:, None] if squeeze else x
-        tag = self.family.tag
-        rep = self._rep
-        if tag in (GAUSSIAN, AMS):
-            out = rep["dense"] @ X
-        elif tag == SRHT:
-            n_pad = rep["n_pad"]
-            Xp = np.zeros((n_pad, X.shape[1]))
-            Xp[: self.n] = rep["signs"][: self.n, None] * X
-            HX = fwht(Xp) / np.sqrt(n_pad)
-            out = rep["scale"] * HX[rep["rows"]]
-        elif tag in (COUNTSKETCH, SPARSE_EMBEDDING):
-            s = self.family.sparsity
-            out = np.zeros((self.b, X.shape[1]))
-            weighted = rep["signs"].reshape(self.n, s, 1) * X[:, None, :]
-            np.add.at(out, rep["rows"], weighted.reshape(self.n * s, -1))
-        else:  # pragma: no cover
-            raise ParameterError(tag)
-        return out[:, 0] if squeeze else out
+        x = self._operand(x, self.n, "apply")
+        R = self.R
+        if not isinstance(R, _SRHT):
+            return R @ x
+        xp = np.zeros((R.n_pad,) + x.shape[1:])
+        xp[: self.n] = (R.signs[: self.n] * x.T).T
+        return R.scale * (fwht(xp) / np.sqrt(R.n_pad))[R.rows]
 
     def apply_adjoint(self, y):
         """Compute R^T y for a length-b vector (or b x k column stack)."""
-        y = np.asarray(y, dtype=float)
-        if y.shape[0] != self.b:
-            raise DimensionError(
-                f"apply_adjoint: expected leading dim {self.b}, got {y.shape}"
-            )
-        squeeze = y.ndim == 1
-        Y = y[:, None] if squeeze else y
-        tag = self.family.tag
-        rep = self._rep
-        if tag in (GAUSSIAN, AMS):
-            out = rep["dense"].T @ Y
-        elif tag == SRHT:
-            n_pad = rep["n_pad"]
-            Yp = np.zeros((n_pad, Y.shape[1]))
-            Yp[rep["rows"]] = Y
-            # Sylvester-Hadamard is symmetric, so H^T = H
-            HY = fwht(Yp) / np.sqrt(n_pad)
-            out = rep["scale"] * (rep["signs"][: self.n, None] * HY[: self.n])
-        elif tag in (COUNTSKETCH, SPARSE_EMBEDDING):
-            s = self.family.sparsity
-            gathered = rep["signs"].reshape(self.n, s, 1) * Y[
-                rep["rows"].reshape(self.n, s)
-            ]
-            out = gathered.sum(axis=1)
-        else:  # pragma: no cover
-            raise ParameterError(tag)
-        return out[:, 0] if squeeze else out
+        y = self._operand(y, self.b, "apply_adjoint")
+        R = self.R
+        if not isinstance(R, _SRHT):
+            return R.T @ y
+        yp = np.zeros((R.n_pad,) + y.shape[1:])
+        yp[R.rows] = y
+        # Sylvester-Hadamard is symmetric, so H^T = H
+        hy = fwht(yp) / np.sqrt(R.n_pad)
+        return R.scale * (R.signs[: self.n] * hy[: self.n].T).T
 
     def to_dense(self):
         """Materialize R as a (b, n) array; rows restricted to the true n."""
-        tag = self.family.tag
-        rep = self._rep
-        if tag in (GAUSSIAN, AMS):
-            return rep["dense"].copy()
-        if tag == SRHT:
-            n_pad = rep["n_pad"]
-            H = _hadamard_rows(rep["rows"], n_pad) / np.sqrt(n_pad)
-            return rep["scale"] * (H * rep["signs"][None, :])[:, : self.n]
-        if tag in (COUNTSKETCH, SPARSE_EMBEDDING):
-            s = self.family.sparsity
-            R = np.zeros((self.b, self.n))
-            cols = np.repeat(np.arange(self.n), s)
-            R[rep["rows"], cols] = rep["signs"].ravel()
-            return R
-        raise ParameterError(tag)  # pragma: no cover
+        if isinstance(self.R, _SRHT):
+            # every factor is +-1 before the scale, so each entry is exact
+            return self.apply_adjoint(np.eye(self.b)).T.copy()
+        return self.R.toarray() if sparse.issparse(self.R) else self.R.copy()
 
 
 def generate(family, b, n, seed):
@@ -240,21 +211,16 @@ def generate(family, b, n, seed):
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     tag = family.tag
     if tag == GAUSSIAN:
-        rep = {"dense": rng.standard_normal((b, n)) / np.sqrt(b)}
+        R = rng.standard_normal((b, n)) / np.sqrt(b)
     elif tag == SRHT:
         n_pad = _next_pow2(n)
         signs = rng.integers(0, 2, size=n_pad).astype(np.float64) * 2.0 - 1.0
         rows = rng.choice(n_pad, size=b, replace=False)
         # scale uses the padded dimension: each row of R has norm sqrt(n_pad/b)
-        rep = {
-            "n_pad": n_pad,
-            "signs": signs,
-            "rows": rows,
-            "scale": np.sqrt(n_pad / b),
-        }
+        R = _SRHT(signs=signs, rows=rows, scale=np.sqrt(n_pad / b), n_pad=n_pad)
     elif tag == AMS:
         powers = _domain_powers(np.arange(n, dtype=np.uint64), 4)
-        rep = {"dense": _hash_signs(rng, powers, m=b) / np.sqrt(b)}
+        R = _hash_signs(rng, powers, m=b) / np.sqrt(b)
     elif tag in (COUNTSKETCH, SPARSE_EMBEDDING):
         s = family.sparsity
         if b % s != 0:
@@ -265,11 +231,13 @@ def generate(family, b, n, seed):
         powers4 = _domain_powers(pairs, 4)
         bins = _hash_bins(rng, powers4[:1], block, m=1)[0].reshape(n, s)
         signs = _hash_signs(rng, powers4, m=1)[0].reshape(n, s) / np.sqrt(s)
+        # slot j of a column lands in block j, so each column's rows ascend
         rows = bins + block * np.arange(s)[None, :]
-        rep = {"rows": rows.reshape(-1), "signs": signs}
+        indptr = np.arange(0, n * s + 1, s)
+        R = sparse.csc_array((signs.ravel(), rows.ravel(), indptr), shape=(b, n))
     else:  # pragma: no cover
         raise ParameterError(tag)
-    return Sketch(family=family, b=b, n=n, seed=int(seed), _rep=rep)
+    return Sketch(family=family, b=b, n=n, seed=int(seed), R=R)
 
 
 @dataclass
@@ -322,19 +290,7 @@ class CEReport:
     beta_hat: float
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "sparsity": self.sparsity,
-            "b": self.b,
-            "n": self.n,
-            "trials": self.trials,
-            "delta": self.delta,
-            "true_ip": self.true_ip,
-            "mean_bias": self.mean_bias,
-            "se_mean": self.se_mean,
-            "alpha_hat": self.alpha_hat,
-            "beta_hat": self.beta_hat,
-        }
+        return asdict(self)
 
 
 def ce_estimate(family, b, n, trials, seed, delta=0.01, g=None, h=None):

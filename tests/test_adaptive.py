@@ -8,7 +8,7 @@ import scipy.stats
 from kronproj import adaptive as ad
 from kronproj import oracle
 from kronproj.dpcore import SignedGeometricGrid
-from kronproj.errors import ParameterError
+from kronproj.errors import DimensionError, ParameterError
 from kronproj.sketch import SketchFamily
 
 
@@ -253,7 +253,7 @@ class TestArrayPassMatchesScalarLoop:
         )
         coords = list(range(8))
         for _ in range(40):
-            u = ad.setquery_step(a, np.eye(3), np.ones(3), coords)
+            u = ad.setquery_step(a, np.eye(8), np.ones(8), coords)
             assert u.tolist() == _loop_step(b, lambda c: c.query_set(coords), coords=coords)
             assert a.last_step_info == b.last_step_info
         assert a.counters == b.counters
@@ -320,10 +320,28 @@ class TestSetQuery:
             lambda s: StubEstimator(s), 4, 3, 4.0, 0.25, 0.1,
             seed=2, q_override=2, L_override=4,
         )
-        from kronproj.errors import DimensionError
-
         with pytest.raises(DimensionError):
             ad.setquery_step(w, np.eye(6), np.ones(6), [0, 1])
+
+    @pytest.mark.parametrize("coords", [[-1, 0], [6, 0], [0, 99]])
+    def test_out_of_range_coordinate_refused_before_any_update(self, coords):
+        fam = SketchFamily.gaussian()
+        w = ad.make_setquery_wrapper(
+            lambda s: ad.sketched_norm_estimator(fam, 16, s, u_bound=2.0), 4, 2, 2.0,
+            0.25, 0.1, seed=3, q_override=3, L_override=6,
+        )
+        rng = np.random.default_rng(4)
+        G, h = rng.standard_normal((6, 6)), rng.standard_normal(6)
+        ad.setquery_step(w, G, h, [1, 2])
+
+        def snapshot():
+            return w.step, dict(w.counters), w.rng.bit_generator.state, dict(w.last_step_info)
+
+        before, inputs = snapshot(), [c._h for c in w.copies]
+        with pytest.raises(DimensionError):
+            ad.setquery_step(w, 2.0 * G, -h, coords)
+        assert snapshot() == before
+        assert all(c._h is h_l for c, h_l in zip(w.copies, inputs))
 
     def test_exact_estimator_per_coordinate_envelope(self):
         # row norms 64 make the per-coordinate envelope (16) cover the
@@ -350,7 +368,39 @@ class TestSetQuery:
         assert failures == 0
 
 
+def _scalar_clamp(v, u_bound):
+    """The per-value clamp the estimators ran before the array clamp."""
+    if u_bound is None or v == 0.0:
+        return float(v)
+    return float(np.clip(abs(v), 1.0 / u_bound, u_bound)) * (1.0 if v >= 0 else -1.0)
+
+
 class TestEstimators:
+    @pytest.mark.parametrize("u_bound", [None, 1.5, 4.0])
+    def test_array_clamp_matches_scalar_clamp(self, u_bound):
+        rng = np.random.default_rng(5)
+        U = u_bound or 4.0
+        vals = np.concatenate([
+            [0.0, -0.0, 1e-300, -1e-12, 1.0 / U, -1.0 / U, U, -U,
+             np.nextafter(U, np.inf), -np.nextafter(U, np.inf), 2 * U, -5 * U, np.inf],
+            rng.standard_normal(40) * U,
+        ])
+        got, overflows = ad._clamp_to_domain(vals, u_bound)
+        want = np.array([_scalar_clamp(v, u_bound) for v in vals])
+        assert got.tobytes() == want.tobytes()
+        assert overflows == (0 if u_bound is None else int(np.sum(np.abs(vals) > U)))
+
+    def test_sketched_overflows_counted_per_value(self):
+        est = ad.sketched_norm_estimator(SketchFamily.gaussian(), 16, seed=8, u_bound=1.5)
+        rng = np.random.default_rng(6)
+        G, h = 2.0 * rng.standard_normal((8, 8)), rng.standard_normal(8)
+        est.update(G, h)
+        z = est._sketch.apply(h)
+        raw = (z @ est._sketch.apply(G.T)) ** 2
+        got = est.query_set(range(8))
+        assert got.tobytes() == np.array([_scalar_clamp(v, 1.5) for v in raw]).tobytes()
+        assert est.overflow_clamps == int(np.sum(raw > 1.5)) > 0
+
     def test_exact_estimator_clamps_into_domain(self):
         est = ad.ExactNormEstimator(0, u_bound=4.0)
         est.update(np.eye(2) * 10.0, np.ones(2))

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from kronproj import sketch as sk
 from kronproj.errors import DimensionError, ParameterError
@@ -107,13 +108,13 @@ class TestGenerate:
 
     def test_srht_pads_and_scales(self):
         s = sk.generate(sk.SketchFamily.srht(), 4, 5, seed=9)
-        assert s._rep["n_pad"] == 8
+        assert s.R.n_pad == 8
         R = s.to_dense()
         assert R.shape == (4, 5)
         # row norms use the padded dimension: sqrt(n_pad / b) over the full
         # padded row; restricted columns only shrink them
-        full = sk._hadamard_rows(s._rep["rows"], 8) / np.sqrt(8)
-        full = s._rep["scale"] * (full * s._rep["signs"][None, :])
+        full = sk.Sketch(s.family, 4, 8, 9, s.R).to_dense()
+        npt.assert_array_equal(full[:, :5], R)
         npt.assert_allclose(np.linalg.norm(full, axis=1), np.sqrt(8 / 4) * np.ones(4))
 
     def test_invalid_dims(self):
@@ -160,11 +161,146 @@ class TestApply:
         with pytest.raises(DimensionError):
             s.apply(np.ones(21))
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=fam_id)
+    def test_scalar_input_refused(self, family):
+        s = sk.generate(family, 4, 3, seed=19)
+        with pytest.raises(DimensionError):
+            s.apply(np.float64(1.0))
+        with pytest.raises(DimensionError):
+            s.apply_adjoint(1.0)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=fam_id)
+    def test_three_dimensional_input_refused(self, family):
+        # the leading dims conform, so only the rank check stops these
+        s = sk.generate(family, 4, 3, seed=19)
+        with pytest.raises(DimensionError):
+            s.apply(np.ones((3, 3, 2)))
+        with pytest.raises(DimensionError):
+            s.apply_adjoint(np.ones((4, 3, 2)))
+
     def test_matrix_apply(self):
         rng = np.random.default_rng(20)
         s = sk.generate(sk.SketchFamily.srht(), 8, 20, seed=21)
         X = rng.standard_normal((20, 3))
         npt.assert_allclose(s.apply(X), s.to_dense() @ X, atol=1e-10)
+
+
+# Reference: the per-family representation and kernels that sketches used
+# before each held one operator (an np.add.at scatter for the sparse
+# families' apply, a gather-and-sum for their adjoint, and explicit
+# Hadamard rows for SRHT's to_dense).  The operator path must reproduce
+# them bit for bit.
+def _reference_rep(family, b, n, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if family.tag == "gaussian":
+        return {"dense": rng.standard_normal((b, n)) / np.sqrt(b)}
+    if family.tag == "srht":
+        n_pad = sk._next_pow2(n)
+        signs = rng.integers(0, 2, size=n_pad).astype(np.float64) * 2.0 - 1.0
+        rows = rng.choice(n_pad, size=b, replace=False)
+        return {"n_pad": n_pad, "signs": signs, "rows": rows, "scale": np.sqrt(n_pad / b)}
+    if family.tag == "ams":
+        powers = sk._domain_powers(np.arange(n, dtype=np.uint64), 4)
+        return {"dense": sk._hash_signs(rng, powers, m=b) / np.sqrt(b)}
+    s = family.sparsity
+    block = b // s
+    powers4 = sk._domain_powers(np.arange(n * s, dtype=np.uint64), 4)
+    bins = sk._hash_bins(rng, powers4[:1], block, m=1)[0].reshape(n, s)
+    signs = sk._hash_signs(rng, powers4, m=1)[0].reshape(n, s) / np.sqrt(s)
+    return {"rows": (bins + block * np.arange(s)[None, :]).reshape(-1), "signs": signs}
+
+
+def _hadamard_rows(rows, n):
+    """Selected rows of the unnormalized Sylvester-Hadamard matrix."""
+    r = np.asarray(rows, dtype=np.uint64)[:, None]
+    c = np.arange(n, dtype=np.uint64)[None, :]
+    v = r & c
+    for s in (32, 16, 8, 4, 2, 1):
+        v ^= v >> np.uint64(s)
+    return 1.0 - 2.0 * (v & np.uint64(1)).astype(np.float64)
+
+
+def _reference_apply(rep, family, b, n, x):
+    X = x[:, None] if x.ndim == 1 else x
+    if "dense" in rep:
+        out = rep["dense"] @ X
+    elif family.tag == "srht":
+        n_pad = rep["n_pad"]
+        Xp = np.zeros((n_pad, X.shape[1]))
+        Xp[:n] = rep["signs"][:n, None] * X
+        out = rep["scale"] * (sk.fwht(Xp) / np.sqrt(n_pad))[rep["rows"]]
+    else:
+        s = family.sparsity
+        out = np.zeros((b, X.shape[1]))
+        weighted = rep["signs"].reshape(n, s, 1) * X[:, None, :]
+        np.add.at(out, rep["rows"], weighted.reshape(n * s, -1))
+    return out[:, 0] if x.ndim == 1 else out
+
+
+def _reference_adjoint(rep, family, b, n, y):
+    Y = y[:, None] if y.ndim == 1 else y
+    if "dense" in rep:
+        out = rep["dense"].T @ Y
+    elif family.tag == "srht":
+        n_pad = rep["n_pad"]
+        Yp = np.zeros((n_pad, Y.shape[1]))
+        Yp[rep["rows"]] = Y
+        out = rep["scale"] * (rep["signs"][:n, None] * (sk.fwht(Yp) / np.sqrt(n_pad))[:n])
+    else:
+        s = family.sparsity
+        gathered = rep["signs"].reshape(n, s, 1) * Y[rep["rows"].reshape(n, s)]
+        out = gathered.sum(axis=1)
+    return out[:, 0] if y.ndim == 1 else out
+
+
+def _reference_dense(rep, family, b, n):
+    if "dense" in rep:
+        return rep["dense"].copy()
+    if family.tag == "srht":
+        H = _hadamard_rows(rep["rows"], rep["n_pad"]) / np.sqrt(rep["n_pad"])
+        return rep["scale"] * (H * rep["signs"][None, :])[:, :n]
+    R = np.zeros((b, n))
+    R[rep["rows"], np.repeat(np.arange(n), family.sparsity)] = rep["signs"].ravel()
+    return R
+
+
+def _assert_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+REFERENCE_FAMILIES = ALL_FAMILIES + [sk.SketchFamily.sparse_embedding(8)]
+
+
+class TestOperatorMatchesReference:
+    @pytest.mark.parametrize("family", REFERENCE_FAMILIES, ids=lambda f: f"{f.tag}{f.sparsity}")
+    @pytest.mark.parametrize("b,n", [(8, 5), (8, 33), (64, 1000), (256, 1024)])
+    def test_bit_identical(self, family, b, n):
+        for seed in range(3):
+            s = sk.generate(family, b, n, seed)
+            rep = _reference_rep(family, b, n, seed)
+            rng = np.random.default_rng(seed)
+            for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                _assert_bits(s.apply(x), _reference_apply(rep, family, b, n, x))
+            Y = rng.standard_normal((b, 3))
+            _assert_bits(s.apply_adjoint(Y), _reference_adjoint(rep, family, b, n, Y))
+            y = rng.standard_normal(b)
+            got, want = s.apply_adjoint(y), _reference_adjoint(rep, family, b, n, y)
+            if family.tag in ("countsketch", "sparse_embedding"):
+                # the reference sums a column's s slots pairwise, CSR in sequence
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            else:
+                _assert_bits(got, want)
+            _assert_bits(s.to_dense(), _reference_dense(rep, family, b, n))
+
+    @pytest.mark.parametrize("b,n", [(4, 5), (8, 33), (16, 64), (64, 1000)])
+    def test_srht_dense_matches_scipy_hadamard(self, b, n):
+        s = sk.generate(sk.SketchFamily.srht(), b, n, seed=n)
+        n_pad = s.R.n_pad
+        assert n_pad == sk._next_pow2(n) and (n_pad == n) == (n & (n - 1) == 0)
+        H = scipy.linalg.hadamard(n_pad).astype(float)[s.R.rows] / np.sqrt(n_pad)
+        npt.assert_array_equal(s.to_dense(), s.R.scale * (H * s.R.signs)[:, :n])
 
 
 class TestFWHT:
