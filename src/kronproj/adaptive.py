@@ -344,15 +344,11 @@ class SketchedNormEstimator:
         self.overflow_clamps = 0
 
     def update(self, G, h):
-        self._G = G
+        self._G = np.asarray(G, dtype=float)
         self._h = np.asarray(h, dtype=float)
         n = self._h.shape[0]
         if self._sketch is None or self._sketch.n != n:
             self._sketch = generate_sketch(self.family, self.b, n, self.seed)
-
-    def _matrix(self):
-        G = self._G() if callable(self._G) else self._G
-        return np.asarray(G, dtype=float)
 
     def _clamp(self, vals):
         vals, overflows = _clamp_to_domain(vals, self.u_bound)
@@ -362,13 +358,12 @@ class SketchedNormEstimator:
     def query(self):
         z = self._sketch.apply(self._h)
         y = self._sketch.apply_adjoint(z)
-        return float(self._clamp(oracle.exact_norm(self._matrix(), y)))
+        return float(self._clamp(oracle.exact_norm(self._G, y)))
 
     def query_set(self, Q):
-        G = self._matrix()
         idx = np.asarray(list(Q), dtype=int)
         z = self._sketch.apply(self._h)
-        RG = self._sketch.apply(G[idx].T)
+        RG = self._sketch.apply(self._G[idx].T)
         return self._clamp((z @ RG) ** 2)
 
 

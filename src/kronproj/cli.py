@@ -286,25 +286,12 @@ def cmd_dp_bench(args, cfg):
 
 
 def _adaptive_common(args, cfg, mode):
+    """Battery (or one unchecked run); the run's keys pass straight through to
+    ``harness.run_adaptive_experiment``, which owns their defaults."""
     runs = int(cfg.get("runs", 20))
     threshold = float(cfg.get("threshold", 0.9))
-    params = dict(cfg.get("params", {}))
-    params.setdefault("T", int(cfg.get("T", 50)))
-    params.setdefault("L", int(cfg.get("L", 20)))
-    params.setdefault("q", int(cfg.get("q", 7)))
-    params.setdefault("alpha", float(cfg.get("alpha", 0.25)))
-    params.setdefault("delta", float(cfg.get("delta", 0.1)))
-    params.setdefault("estimator", cfg.get("estimator", "exact"))
-    if "b" in cfg:
-        params.setdefault("b", int(cfg["b"]))
-    if mode == adaptive.SET_MODE:
-        params.setdefault("k", int(cfg.get("k", 8)))
-        params.setdefault("n", int(cfg.get("n", 32)))
-    else:
-        params.setdefault("n", int(cfg.get("n", 16)))
-    params["seed"] = args.seed
-    params["check_oracle"] = args.check_oracle == "on"
     adversary = cfg.get("adversary", "feedback")
+    params = dict(cfg, seed=args.seed, check_oracle=args.check_oracle == "on")
     if not params["check_oracle"]:
         rep = harness.run_adaptive_experiment(mode, adversary, params)
         _emit(args, rep.to_dict(), records=rep.records)

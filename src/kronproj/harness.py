@@ -145,7 +145,6 @@ def run_maintenance_experiment(
     cfg,
     eps_mp=0.05,
     a_exp=0.5,
-    family=None,
     s=4,
     b=32,
     check_oracle=True,
@@ -158,8 +157,6 @@ def run_maintenance_experiment(
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed ^ 0x9E3779B9) & (2**64 - 1)))
-    if family is None:
-        family = SketchFamily.gaussian()
     n = cfg.n
     constraints = random_constraints(cfg.m, n, rng)
     basis = random_orthogonal(n, rng)
@@ -171,7 +168,7 @@ def run_maintenance_experiment(
         W0,
         eps_mp=eps_mp,
         a_exp=a_exp,
-        family=family,
+        family=SketchFamily.gaussian(),
         s=s,
         b=b,
         seed=cfg.seed,
@@ -224,7 +221,7 @@ def run_maintenance_experiment(
         summary["max_m_rel_err"] = max_m_err
         summary["max_query_rel_err"] = max_q_err
     config = dict(cfg.to_dict(), eps_mp=eps_mp, a_exp=a_exp, s=s, b=b,
-                  family=family.tag, check_oracle=bool(check_oracle))
+                  family="gaussian", check_oracle=bool(check_oracle))
     return RunReport(
         kind="maintenance",
         config=config,
@@ -261,12 +258,10 @@ class NormAdversary:
     query sequence genuinely depends on the data structure's answers.
     """
 
-    def __init__(self, n, seed, feedback, c_sq=4.0, wobble=0.1):
+    def __init__(self, n, seed, feedback):
         self.n = n
         self.seed = seed
         self.feedback = feedback
-        self.c_sq = c_sq
-        self.wobble = wobble
         self.rng = np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1)))
         self.Q = random_orthogonal(n, self.rng)
         self.h = self._unit(self.rng.standard_normal(n))
@@ -276,20 +271,21 @@ class NormAdversary:
     def _unit(v):
         return v / np.linalg.norm(v)
 
-    def next_instance(self, last_output):
+    def next_instance(self, last_u, last_coords=None):
+        """Next ``(G, h, None)``; the third slot mirrors set-query's coordinates."""
         rng = self.rng
         if self.feedback and self.t > 0:
-            rng = _feedback_rng(self.seed, self.t, last_output)
-            mix = last_output / (1.0 + abs(last_output))
+            rng = _feedback_rng(self.seed, self.t, last_u)
+            mix = last_u / (1.0 + abs(last_u))
             self.h = self._unit(rng.standard_normal(self.n) + 2.0 * mix * self.h)
         else:
             self.h = self._unit(self.rng.standard_normal(self.n))
         # small rotation keeps G near the scaled-orthogonal manifold
         P = self.Q + 0.02 * rng.standard_normal((self.n, self.n))
         self.Q = random_orthogonal_from(P)
-        c = math.sqrt(self.c_sq) * (1.0 + self.wobble * (rng.random() - 0.5))
+        c = 2.0 * (1.0 + 0.1 * (rng.random() - 0.5))  # c^2 near 4, within +-10%
         self.t += 1
-        return c * self.Q, self.h.copy()
+        return c * self.Q, self.h.copy(), None
 
 
 def random_orthogonal_from(Mat):
@@ -307,7 +303,7 @@ class SetQueryAdversary:
     previous outputs.
     """
 
-    def __init__(self, n, k, seed, feedback, c_sq=64.0):
+    def __init__(self, n, k, seed, feedback, c_sq=16.0):
         self.n = n
         self.k = k
         self.seed = seed
@@ -340,106 +336,96 @@ class SetQueryAdversary:
         return G, h, np.sort(coords)
 
 
-def _make_estimator_factory(params):
-    kind = params.get("estimator", "exact")
-    u_bound = params["u_bound"]
+# Defaults of run_adaptive_experiment's parameters, shared by both modes,
+# then the per-mode ones; the CLI passes its config keys straight through.
+ADAPTIVE_DEFAULTS = {"T": 50, "L": 20, "q": 7, "k": 8, "alpha": 0.25, "delta": 0.1,
+                     "estimator": "exact", "b": None, "seed": 0, "check_oracle": True}
+MODE_DEFAULTS = {adaptive.NORM_MODE: {"n": 16, "u_bound": 8.0},
+                 adaptive.SET_MODE: {"n": 32, "u_bound": 2.0}}
+
+
+def _make_estimator_factory(kind, b, u_bound):
+    """Copy factory and its tail gamma (0 for the exact estimator)."""
     if kind == "exact":
         return lambda seed: adaptive.ExactNormEstimator(seed, u_bound=u_bound), 0.0
     if kind == "sketch":
-        family = SketchFamily(params.get("family", "gaussian"),
-                              params.get("family_sparsity", 1))
-        b = int(params["b"])
-        gamma = float(params.get("gamma", params.get("beta_tail", 5.0) / math.sqrt(b)))
+        if b is None:
+            raise ParameterError("estimator 'sketch' needs a sketch dimension b")
+        family = SketchFamily.gaussian()
         return (
             lambda seed: adaptive.sketched_norm_estimator(family, b, seed, u_bound=u_bound),
-            gamma,
+            5.0 / math.sqrt(b),
         )
     raise ParameterError(f"unknown estimator kind {kind!r}")
+
+
+def _truth_and_mass(G, h, coords):
+    """Exact answer and the squared norm its envelope scales with.
+
+    ``coords`` is None in norm mode and the requested rows in set-query mode.
+    """
+    if coords is None:
+        return oracle.exact_norm(G, h), np.linalg.norm(G, "fro") ** 2
+    return oracle.exact_set_query(G, h, coords), np.sum(G[coords] ** 2, axis=1)
 
 
 def run_adaptive_experiment(mode, adversary, params):
     """One seeded adaptive run; per-step oracle comparison when enabled.
 
-    ``params`` keys (with defaults): T=50, n=16, k=8, u_bound, alpha=0.25,
-    delta=0.1, L, q, estimator ('exact' or 'sketch'), b, gamma, seed=0,
-    check_oracle=True.
+    ``params`` keys and their defaults are ``ADAPTIVE_DEFAULTS`` and the
+    mode's ``MODE_DEFAULTS``; ``k`` is read in set-query mode only, and
+    ``b`` is required when ``estimator`` is 'sketch'.  Other keys are
+    ignored.
     """
-    p = dict(params)
-    T = int(p.get("T", 50))
-    n = int(p.get("n", 16))
-    alpha = float(p.get("alpha", 0.25))
-    delta = float(p.get("delta", 0.1))
-    seed = int(p.get("seed", 0))
-    check = bool(p.get("check_oracle", True))
-    feedback = adversary == "feedback"
     if adversary not in ("oblivious", "feedback"):
         raise ParameterError(f"unknown adversary {adversary!r}")
     if mode not in (adaptive.NORM_MODE, adaptive.SET_MODE):
         raise ParameterError(f"unknown mode {mode!r}")
+    p = {**ADAPTIVE_DEFAULTS, **MODE_DEFAULTS[mode], **params}
+    T, n, seed = int(p["T"]), int(p["n"]), int(p["seed"])
+    alpha, delta, u_bound = float(p["alpha"]), float(p["delta"]), float(p["u_bound"])
+    b = None if p["b"] is None else int(p["b"])
+    check = bool(p["check_oracle"])
 
     t0 = time.perf_counter()
-    p.setdefault("u_bound", 8.0 if mode == adaptive.NORM_MODE else 2.0)
-    factory, gamma = _make_estimator_factory(p)
-    sizing = dict(scale=float(p.get("scale", 1.0)), seed=seed,
-                  q_override=p.get("q"), L_override=p.get("L"))
-    tol_factor = alpha + gamma + alpha * gamma
-    records = []
-    ok_all = True
-    if mode == adaptive.NORM_MODE:
-        wrapper = adaptive.make_norm_wrapper(factory, T, p["u_bound"], alpha, delta, **sizing)
-        adv = NormAdversary(n, seed ^ 0x5BF03635, feedback, c_sq=float(p.get("c_sq", 4.0)))
-        last = 0.0
-        for t in range(T):
-            G_t, h_t = adv.next_instance(last)
-            u_t = adaptive.norm_step(wrapper, G_t, h_t)
-            truth = oracle.exact_norm(G_t, h_t) if check else None
-            rec = {"t": t, "u": float(u_t),
-                   "sampled": wrapper.last_step_info["sampled"],
-                   "rank_error": wrapper.last_step_info["rank_error"]}
-            if check:
-                bound = tol_factor * np.linalg.norm(G_t, "fro") ** 2 * float(h_t @ h_t)
-                ok = abs(u_t - truth) <= bound
-                rec.update({"true": float(truth), "bound": float(bound), "ok": bool(ok)})
-                ok_all = ok_all and ok
-            records.append(rec)
-            last = u_t
-    else:
-        k = int(p.get("k", 8))
-        wrapper = adaptive.make_setquery_wrapper(
-            factory, T, k, p["u_bound"], alpha, delta, **sizing
-        )
-        adv = SetQueryAdversary(n, k, seed ^ 0x5BF03635, feedback,
-                                c_sq=float(p.get("c_sq", 16.0)))
-        last_u, last_coords = None, None
-        for t in range(T):
-            G_t, h_t, coords = adv.next_instance(last_u, last_coords)
-            u_t = adaptive.setquery_step(wrapper, G_t, h_t, coords)
-            rec = {"t": t, "coords": [int(j) for j in coords],
-                   "u": [float(x) for x in u_t],
-                   "sampled": wrapper.last_step_info["sampled"]}
-            if check:
-                truths = oracle.exact_set_query(G_t, h_t, coords)
-                row_norms = np.sum(G_t[coords] ** 2, axis=1)
-                bounds = tol_factor * row_norms * float(h_t @ h_t)
-                oks = np.abs(u_t - truths) <= bounds
-                rec.update({"true": [float(v) for v in truths],
-                            "bound": [float(v) for v in bounds],
-                            "ok": bool(np.all(oks))})
-                ok_all = ok_all and bool(np.all(oks))
-            records.append(rec)
-            last_u, last_coords = u_t, coords
-    summary = {"all_ok": bool(ok_all) if check else None,
-               "gamma": gamma, "tol_factor": tol_factor}
-    t1 = time.perf_counter()
-
-    summary["transcript_budget"] = _budget_dict(wrapper)
-    summary.update({k2: wrapper.counters[k2] for k2 in wrapper.counters})
+    factory, gamma = _make_estimator_factory(p["estimator"], b, u_bound)
+    sizing = dict(seed=seed, q_override=int(p["q"]), L_override=int(p["L"]))
     config = {"mode": mode, "adversary": adversary, "n": n, "T": T,
               "alpha": alpha, "delta": delta, "seed": seed,
-              "u_bound": p["u_bound"], "estimator": p.get("estimator", "exact"),
-              "b": p.get("b"), "wrapper": wrapper.params}
-    if mode == adaptive.SET_MODE:
-        config["k"] = int(p.get("k", 8))
+              "u_bound": u_bound, "estimator": p["estimator"], "b": b}
+    adv_seed, feedback = seed ^ 0x5BF03635, adversary == "feedback"
+    if mode == adaptive.NORM_MODE:
+        wrapper = adaptive.make_norm_wrapper(factory, T, u_bound, alpha, delta, **sizing)
+        adv = NormAdversary(n, adv_seed, feedback)
+    else:
+        k = config["k"] = int(p["k"])
+        wrapper = adaptive.make_setquery_wrapper(factory, T, k, u_bound, alpha, delta, **sizing)
+        adv = SetQueryAdversary(n, k, adv_seed, feedback)
+    tol_factor = alpha + gamma + alpha * gamma
+    records = []
+    last_u, last_coords = None, None
+    for _ in range(T):
+        G_t, h_t, coords = adv.next_instance(last_u, last_coords)
+        if coords is None:
+            u_t = adaptive.norm_step(wrapper, G_t, h_t)
+        else:
+            u_t = adaptive.setquery_step(wrapper, G_t, h_t, coords)
+        info = wrapper.last_step_info
+        rec = {key: info[key] for key in ("t", "coords", "u", "sampled", "rank_error")
+               if key in info}
+        if check:
+            truth, mass = _truth_and_mass(G_t, h_t, coords)
+            bound = tol_factor * mass * float(h_t @ h_t)
+            ok = bool(np.all(np.abs(u_t - truth) <= bound))
+            rec.update({"true": np.asarray(truth, dtype=float).tolist(),
+                        "bound": np.asarray(bound, dtype=float).tolist(), "ok": ok})
+        records.append(rec)
+        last_u, last_coords = u_t, coords
+    t1 = time.perf_counter()
+    summary = {"all_ok": all(rec["ok"] for rec in records) if check else None,
+               "gamma": gamma, "tol_factor": tol_factor,
+               "transcript_budget": _budget_dict(wrapper), **wrapper.counters}
+    config["wrapper"] = wrapper.params
     return RunReport(
         kind=f"adaptive-{mode}",
         config=config,
@@ -461,7 +447,7 @@ def _budget_dict(wrapper):
 
 def adaptive_battery(mode, adversary, runs, params):
     """Repeat run_adaptive_experiment over seeds; fraction of all-ok runs."""
-    base_seed = int(params.get("seed", 0))
+    base_seed = int(params.get("seed", ADAPTIVE_DEFAULTS["seed"]))
     ok = 0
     reports = []
     for r in range(runs):
@@ -476,7 +462,7 @@ def adaptive_battery(mode, adversary, runs, params):
 # -- complexity-model reporting --------------------------------------------
 
 
-def complexity_model(a, c, omega=2.0, theta=None, n=1024, i_values=None):
+def complexity_model(a, c, omega=2.0, theta=None, n=1024):
     """Rectangular-multiplication cost exponent and amortization weights.
 
     theta defaults to omega + 2 (the dense-fallback bound for the
@@ -490,11 +476,9 @@ def complexity_model(a, c, omega=2.0, theta=None, n=1024, i_values=None):
     if theta is None:
         theta = omega + 2.0
     f_ac = (c * (theta - omega - 2.0) + a * (2.0 + theta - c * theta - omega + 2.0 * c * omega) - theta) / (a - 1.0)
-    if i_values is None:
-        i_values = sorted(set(int(x) for x in np.geomspace(1, n, 17).round()))
     cutoff = n**a
     weights = []
-    for i in i_values:
+    for i in sorted(set(int(x) for x in np.geomspace(1, n, 17).round())):
         if i < cutoff:
             g = n ** (-a)
         else:

@@ -333,7 +333,7 @@ class MaintainedProjection:
 
     # -- introspection ------------------------------------------------------
 
-    def check_invariants(self, atol_scale=1.0):
+    def check_invariants(self):
         """Check the structural invariants; intended for tests and debugging.
 
         Raises :class:`InvariantError` naming the first one that fails; the
@@ -348,11 +348,11 @@ class MaintainedProjection:
         require(self.cursor < self.s, "pool cursor past the last sketch")
         require(self.Y.shape == (self.n * self.n, self.m), "Y is not n^2 x m")
         gram_err = np.linalg.norm(self.Y.T @ self.Y - np.eye(self.m), "fro")
-        require(gram_err <= 1e-8 * atol_scale, "Y not orthonormal")
+        require(gram_err <= 1e-8, "Y not orthonormal")
         # Y's m columns span the range of (L (x) L)^{1/2} G^T at lam
         B = kron_diag(np.sqrt(self.lam), np.sqrt(self.lam))[:, None] * self.G.T
         resid = np.linalg.norm(B - self.Y @ (self.Y.T @ B), "fro")
-        require(resid <= 1e-8 * atol_scale * np.linalg.norm(B, "fro"), "Y misses the range at lam")
+        require(resid <= 1e-8 * np.linalg.norm(B, "fro"), "Y misses the range at lam")
         ratio = np.abs(np.log(self._last_external) - np.log(self.lam_tilde))
         require(np.max(ratio) <= self.eps_mp / 2.0 + 1e-12, "lam_tilde beyond eps_mp / 2")
 

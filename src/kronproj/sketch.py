@@ -214,6 +214,8 @@ def generate(family, b, n, seed):
         R = rng.standard_normal((b, n)) / np.sqrt(b)
     elif tag == SRHT:
         n_pad = _next_pow2(n)
+        if b > n_pad:
+            raise ParameterError(f"SRHT samples b={b} distinct rows of {n_pad}, the padded n")
         signs = rng.integers(0, 2, size=n_pad).astype(np.float64) * 2.0 - 1.0
         rows = rng.choice(n_pad, size=b, replace=False)
         # scale uses the padded dimension: each row of R has norm sqrt(n_pad/b)

@@ -448,8 +448,3 @@ class TestEstimators:
         z = sk.apply(h)
         want = [(sk.apply(G[j]) @ z) ** 2 for j in (1, 4)]
         npt.assert_allclose(est.query_set([1, 4]), want, atol=1e-10)
-
-    def test_callable_matrix_source(self):
-        est = ad.sketched_norm_estimator(SketchFamily.gaussian(), 32, seed=7)
-        est.update(lambda: np.eye(4), np.ones(4))
-        assert est.query() > 0.0

@@ -122,6 +122,20 @@ class TestAdaptiveSim:
         assert code == 1
         assert "error: adaptive-sim: --format csv" in capsys.readouterr().err
 
+    def test_flat_u_bound_reaches_report(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"runs": 1, "T": 3, "L": 6, "q": 3, "u_bound": 6.0})
+        out = tmp_path / "ad.json"
+        code = run_cli(["adaptive-sim", "--config", str(cfg), "--seed", "9", "--out", str(out)])
+        assert code == 0
+        params = json.loads(out.read_text())["params"]
+        assert params["u_bound"] == params["wrapper"]["u_bound"] == 6.0
+
+    def test_sketch_without_b_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"runs": 1, "T": 2, "estimator": "sketch"})
+        code = run_cli(["adaptive-sim", "--config", str(cfg)])
+        assert code == 1
+        assert "error: estimator 'sketch' needs a sketch dimension b" in capsys.readouterr().err
+
     def test_check_oracle_off_single_run(self, tmp_path):
         cfg = write_cfg(tmp_path, {"T": 5, "n": 8, "L": 6, "q": 3})
         out = tmp_path / "raw.json"

@@ -116,11 +116,12 @@ class TestAdaptiveExperiment:
         # produce different next queries
         adv1 = harness.NormAdversary(8, seed=77, feedback=True)
         adv2 = harness.NormAdversary(8, seed=77, feedback=True)
-        adv1.next_instance(0.0)
-        adv2.next_instance(0.0)
-        _, h1 = adv1.next_instance(0.5)
-        _, h2 = adv2.next_instance(2.0)
+        adv1.next_instance(None)
+        adv2.next_instance(None)
+        _, h1, coords1 = adv1.next_instance(0.5)
+        _, h2, coords2 = adv2.next_instance(2.0)
         assert not np.allclose(h1, h2)
+        assert coords1 is None and coords2 is None
 
     def test_feedback_setquery_adversary_targets_large_outputs(self):
         adv = harness.SetQueryAdversary(16, 4, seed=78, feedback=True)
@@ -134,6 +135,31 @@ class TestAdaptiveExperiment:
         rep = harness.run_adaptive_experiment("setquery", "feedback", params)
         assert rep.summary["all_ok"] is True
         assert all(len(r["u"]) == 4 for r in rep.records)
+
+    def test_records_read_the_wrapper_step(self):
+        norm = harness.run_adaptive_experiment("norm", "feedback", dict(T=3, L=10, q=5, seed=17))
+        for rec in norm.records:
+            assert set(rec) == {"t", "u", "sampled", "rank_error", "true", "bound", "ok"}
+            assert isinstance(rec["rank_error"], float) and len(rec["sampled"]) == 5
+        sq = harness.run_adaptive_experiment(
+            "setquery", "feedback", dict(T=3, n=16, k=4, L=10, q=5, seed=17))
+        for rec in sq.records:
+            assert set(rec) == {"t", "coords", "u", "sampled", "rank_error", "true", "bound", "ok"}
+            assert len(rec["rank_error"]) == len(rec["coords"]) == len(rec["true"]) == 4
+
+    @pytest.mark.parametrize("mode, n, u_bound", [("norm", 16, 8.0), ("setquery", 32, 2.0)])
+    def test_defaults_are_desk_scale(self, mode, n, u_bound):
+        # without L and q the wrapper has the CLI's 20 copies and q = 7,
+        # not the formula's ~1e5 copies
+        rep = harness.run_adaptive_experiment(mode, "oblivious", dict(T=2))
+        wrapper = rep.config["wrapper"]
+        assert (wrapper["L"], wrapper["q"]) == (20, 7)
+        assert wrapper["L_formula"] > 10**4
+        assert (rep.config["n"], rep.config["u_bound"]) == (n, u_bound)
+        assert (rep.config["T"], rep.config["alpha"], rep.config["delta"]) == (2, 0.25, 0.1)
+        assert rep.config["estimator"] == "exact"
+        if mode == "setquery":
+            assert rep.config["k"] == 8
 
     def test_battery_fraction(self):
         params = dict(T=6, n=16, L=10, q=5, seed=15)

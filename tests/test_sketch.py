@@ -121,6 +121,17 @@ class TestGenerate:
         with pytest.raises(ParameterError):
             sk.generate(sk.SketchFamily.gaussian(), 0, 5, seed=0)
 
+    @pytest.mark.parametrize("b, n", [(8, 1), (5, 3), (9, 8)])
+    def test_srht_more_rows_than_padded_n_rejected(self, b, n):
+        with pytest.raises(ParameterError):
+            sk.generate(sk.SketchFamily.srht(), b, n, seed=0)
+
+    @pytest.mark.parametrize("b, n", [(1, 1), (4, 3), (8, 5)])
+    def test_srht_all_padded_rows_allowed(self, b, n):
+        s = sk.generate(sk.SketchFamily.srht(), b, n, seed=0)
+        assert s.R.n_pad == b
+        assert sorted(s.R.rows.tolist()) == list(range(b))
+
 
 class TestApply:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=fam_id)
