@@ -19,7 +19,6 @@ from .kronlinalg import (
     kron_diag,
     solve_spd,
     sym_eigen,
-    unvec,
     vec,
     woodbury_update,
 )

@@ -42,25 +42,26 @@ NORM_MODE = "norm"
 SET_MODE = "setquery"
 
 
-def norm_wrapper_params(T, u_bound, alpha, delta, scale=1.0):
+def norm_wrapper_params(T, u_bound, alpha, delta):
     """Copy and subsample counts for the norm-mode wrapper.
 
     Returns (q, L, delta0) with q = ceil(8 ln(log_{1+alpha}(U) T / (alpha
     delta))), delta0 = delta / (2T) and
-    L = ceil(scale * 600 q sqrt(4 T ln(400/delta0))).
+    L = ceil(600 q sqrt(4 T ln(400/delta0))).  The logarithm in q is
+    floored at 1, so q >= 8 and L >= 3000 q.
     """
     if T < 1 or not 0.0 < alpha < 1.0 or not 0.0 < delta < 1.0:
         raise ParameterError("invalid (T, alpha, delta)")
-    if u_bound <= 1.0 or scale <= 0.0:
-        raise ParameterError("invalid (u_bound, scale)")
+    if u_bound <= 1.0:
+        raise ParameterError("u_bound must exceed 1")
     log_grid = math.log(u_bound) / math.log1p(alpha)
-    q = max(1, math.ceil(C_Q * math.log(max(log_grid * T / (alpha * delta), math.e))))
+    q = math.ceil(C_Q * math.log(max(log_grid * T / (alpha * delta), math.e)))
     delta0 = delta / (2.0 * T)
-    L = math.ceil(scale * C_L_NORM * q * math.sqrt(4.0 * T * math.log(400.0 / delta0)))
-    return q, max(L, q), delta0
+    L = math.ceil(C_L_NORM * q * math.sqrt(4.0 * T * math.log(400.0 / delta0)))
+    return q, L, delta0
 
 
-def setquery_wrapper_params(T, k, u_bound, alpha, delta, scale=1.0):
+def setquery_wrapper_params(T, k, u_bound, alpha, delta):
     """Copy and subsample counts for the set-query wrapper.
 
     L scales with sqrt(k T); beta = delta / (4T) is the per-step median
@@ -68,10 +69,10 @@ def setquery_wrapper_params(T, k, u_bound, alpha, delta, scale=1.0):
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    q, _, _ = norm_wrapper_params(T, u_bound, alpha, delta, scale=1.0)
+    q, _, _ = norm_wrapper_params(T, u_bound, alpha, delta)
     beta = delta / (4.0 * T)
-    L = math.ceil(scale * C_L_SET * q * math.sqrt(k * T * math.log(800.0 * T / delta)))
-    return q, max(L, q), beta
+    L = math.ceil(C_L_SET * q * math.sqrt(k * T * math.log(800.0 * T / delta)))
+    return q, L, beta
 
 
 def norm_transcript_budget(L, q, T, delta0, eps_pm=EPS_PM):
@@ -101,7 +102,6 @@ class AdaptiveWrapper:
     grid: SignedGeometricGrid
     T: int
     q: int
-    delta: float
     median_beta: float
     k: int = 1
     eps_pm: float = EPS_PM
@@ -165,7 +165,6 @@ def _build_wrapper(mode, factory, seed, formula, overrides, beta_key, beta, **he
         grid=SignedGeometricGrid(head["u_bound"], head["alpha"]),
         T=head["T"],
         q=q,
-        delta=head["delta"],
         median_beta=beta,
         k=head.get("k", 1),
         params=params,
@@ -179,21 +178,19 @@ def make_norm_wrapper(
     u_bound,
     alpha,
     delta,
-    scale=1.0,
     seed=0,
     q_override=None,
     L_override=None,
 ):
     """Wrap an oblivious norm estimator for adaptive queries.
 
-    ``scale`` (and the explicit overrides) shrink the copy counts for desk
-    runs; the formula values are kept in ``params`` so reports always show
-    both.
+    The overrides shrink the copy counts for desk runs; the formula values
+    are kept in ``params`` so reports always show both.
     """
-    q_raw, L_raw, delta0 = norm_wrapper_params(T, u_bound, alpha, delta, scale)
+    q_raw, L_raw, delta0 = norm_wrapper_params(T, u_bound, alpha, delta)
     return _build_wrapper(
         NORM_MODE, factory, seed, (q_raw, L_raw), (q_override, L_override), "delta0", delta0,
-        T=T, u_bound=u_bound, alpha=alpha, delta=delta, scale=scale,
+        T=T, u_bound=u_bound, alpha=alpha, delta=delta,
     )
 
 
@@ -204,16 +201,15 @@ def make_setquery_wrapper(
     u_bound,
     alpha,
     delta,
-    scale=1.0,
     seed=0,
     q_override=None,
     L_override=None,
 ):
     """Wrap an oblivious set-query estimator for adaptive queries."""
-    q_raw, L_raw, beta = setquery_wrapper_params(T, k, u_bound, alpha, delta, scale)
+    q_raw, L_raw, beta = setquery_wrapper_params(T, k, u_bound, alpha, delta)
     return _build_wrapper(
         SET_MODE, factory, seed, (q_raw, L_raw), (q_override, L_override), "beta", beta,
-        T=T, k=k, u_bound=u_bound, alpha=alpha, delta=delta, scale=scale,
+        T=T, k=k, u_bound=u_bound, alpha=alpha, delta=delta,
     )
 
 
@@ -243,9 +239,7 @@ def _private_step(wrapper, G_t, h_t, query, **info):
     u_bound = wrapper.grid.u_bound
     wrapper.counters["overflow_clamps"] += int(np.count_nonzero(np.abs(raw) > u_bound))
     rounded = round_to_grid(np.clip(raw, -u_bound, u_bound), wrapper.grid)
-    u = private_median(
-        rounded, wrapper.grid, wrapper.eps_pm, wrapper.median_beta, rng=wrapper.rng
-    )
+    u = private_median(rounded, wrapper.grid, wrapper.eps_pm, wrapper.rng)
     rank_error = median_rank_error(rounded, u)
     if wrapper.mode == NORM_MODE:
         raw, rounded, u, rank_error = raw[:, 0], rounded[:, 0], u[0], rank_error[0]

@@ -4,7 +4,9 @@ Subcommands: verify-oracle, run-maint, ce-bench, dp-bench, adaptive-sim,
 setquery-sim, complexity.  Every experiment is specified by an optional
 JSON config file plus a seed; written reports are byte-identical across
 reruns with the same inputs.  Exit codes: 0 success, 2 when an acceptance
-threshold is violated, 1 on error.
+threshold is violated, 1 on any error, usage errors included.  Each
+subcommand reads from its config only the keys that shape its own output
+and passes the rest to the library function that owns their defaults.
 """
 
 import argparse
@@ -31,6 +33,7 @@ ORACLE_TOL = 1e-7  # maintained core and queries vs the oracle, relative error
 CE_BIAS_SE = 4.0  # CE mean bias within this many standard errors
 CE_TAIL_FAMILIES = ("gaussian", "srht", "ams")  # families whose CE tail is gated
 DP_PASS_FRACTION = 0.95  # share of private medians within the rank slack
+ORACLE_REPS = 100  # verify-oracle's random instances per identity and of Woodbury
 
 
 def _load_config(path):
@@ -74,7 +77,7 @@ def _status(name, ok, detail=""):
 def kron_identity_errors(rng, reps):
     """Worst absolute error of each Kronecker identity over ``reps`` draws."""
     worst = dict.fromkeys(("mixed", "inv", "vec3", "trace", "apply"), 0.0)
-    for _ in range(reps):
+    for _ in range(int(reps)):
         A, B, C, D = (rng.standard_normal((3, 3)) for _ in range(4))
         Ai, Bi = A + 3 * np.eye(3), B + 3 * np.eye(3)
         X = rng.standard_normal((3, 3))
@@ -97,7 +100,7 @@ def kron_identity_errors(rng, reps):
 def woodbury_error(rng, reps):
     """Worst relative error of ``woodbury_update`` against the direct inverse."""
     worst = 0.0
-    for _ in range(reps):
+    for _ in range(int(reps)):
         n = int(rng.integers(3, 11))
         k = int(rng.integers(1, 6))
         A = rng.standard_normal((n, n)) + n * np.eye(n)
@@ -113,7 +116,7 @@ def woodbury_error(rng, reps):
 def cmd_verify_oracle(args, cfg):
     """Kronecker identity suite, Woodbury instances, and projector axioms."""
     rng = np.random.default_rng(args.seed)
-    reps = int(cfg.get("reps", 100))
+    reps = cfg.get("reps", ORACLE_REPS)
     ok = True
 
     worst = kron_identity_errors(rng, reps)
@@ -145,25 +148,8 @@ def cmd_verify_oracle(args, cfg):
 
 
 def cmd_run_maint(args, cfg):
-    dc = harness.DriftConfig(
-        n=int(cfg.get("n", 6)),
-        m=int(cfg.get("m", 8)),
-        T=int(cfg.get("T", 50)),
-        C1=float(cfg.get("C1", 0.2)),
-        C2=float(cfg.get("C2", 0.0)),
-        rank_pattern=cfg.get("rank_pattern", "uniform"),
-        sparse_k=int(cfg.get("sparse_k", 1)),
-        seed=args.seed,
-    )
     check = args.check_oracle == "on"
-    report = harness.run_maintenance_experiment(
-        dc,
-        eps_mp=float(cfg.get("eps_mp", 0.05)),
-        a_exp=float(cfg.get("a_exp", 0.5)),
-        s=int(cfg.get("s", 4)),
-        b=int(cfg.get("b", 32)),
-        check_oracle=check,
-    )
+    report = harness.run_maintenance_experiment(dict(cfg, seed=args.seed, check_oracle=check))
     _emit(args, report.to_dict(), records=report.records)
     ok = report.summary["max_lam_tilde_log_ratio"] <= report.summary["eps_mp_half"] + ROUNDOFF_TOL
     _status("spectral approximation", ok,
@@ -183,33 +169,34 @@ def ce_tail_bound(n, delta):
     return 20.0 * math.log(n / delta) ** 1.5
 
 
-def ce_checks(families, b, n, trials, seed, delta):
+def ce_checks(params, seed):
     """``ce_estimate`` of each family with its verdicts.
 
-    Returns ``(report, unbiased, tail_ok)`` per family; ``tail_ok`` is None
-    for families outside ``CE_TAIL_FAMILIES``, whose tail is reported only.
+    ``params`` keys and defaults: ``b`` (256), ``n`` (1024), ``trials``
+    (10000), ``delta`` (0.01), ``families`` (all five tags) and
+    ``sparsity`` (8, the sparse embedding's); other keys are ignored.
+    Returns the settings ``{b, n, trials, delta}`` and ``(report, unbiased,
+    tail_ok)`` per family; ``tail_ok`` is None for families outside
+    ``CE_TAIL_FAMILIES``, whose tail is reported only.
     """
-    bound = ce_tail_bound(n, delta)
-    out = []
-    for fam in families:
-        rep = sketch.ce_estimate(fam, b, n, trials, seed, delta=delta)
+    settings = {"b": int(params.get("b", 256)), "n": int(params.get("n", 1024)),
+                "trials": int(params.get("trials", 10_000)),
+                "delta": float(params.get("delta", 0.01))}
+    sparsity = int(params.get("sparsity", 8))
+    tags = params.get("families", ["gaussian", "srht", "ams", "countsketch", "sparse_embedding"])
+    bound = ce_tail_bound(settings["n"], settings["delta"])
+    checks = []
+    for tag in tags:
+        fam = sketch.SketchFamily(tag, sparsity if tag == "sparse_embedding" else 1)
+        rep = sketch.ce_estimate(fam, seed=seed, **settings)
         tail_ok = rep.beta_hat <= bound if fam.tag in CE_TAIL_FAMILIES else None
-        out.append((rep, rep.mean_bias <= CE_BIAS_SE * rep.se_mean, tail_ok))
-    return out
+        checks.append((rep, rep.mean_bias <= CE_BIAS_SE * rep.se_mean, tail_ok))
+    return settings, checks
 
 
 def cmd_ce_bench(args, cfg):
-    b = int(cfg.get("b", 256))
-    n = int(cfg.get("n", 1024))
-    trials = int(cfg.get("trials", 10000))
-    delta = float(cfg.get("delta", 0.01))
-    sparsity = int(cfg.get("sparsity", 8))
-    fams = cfg.get(
-        "families", ["gaussian", "srht", "ams", "countsketch", "sparse_embedding"]
-    )
-    families = [sketch.SketchFamily(t, sparsity if t == "sparse_embedding" else 1) for t in fams]
-    tail_bound = ce_tail_bound(n, delta)
-    checks = ce_checks(families, b, n, trials, args.seed, delta)
+    settings, checks = ce_checks(cfg, args.seed)
+    tail_bound = ce_tail_bound(settings["n"], settings["delta"])
     ok = True
     for rep, unbiased, tail_ok in checks:
         ok &= _status(f"{rep.family} unbiasedness", unbiased,
@@ -220,8 +207,7 @@ def cmd_ce_bench(args, cfg):
             ok &= _status(f"{rep.family} tail", tail_ok,
                           f"beta_hat {rep.beta_hat:.2f} vs bound {tail_bound:.1f}")
     reports = [rep.to_dict() for rep, _, _ in checks]
-    _emit(args, {"b": b, "n": n, "trials": trials, "delta": delta, "reports": reports},
-          records=reports)
+    _emit(args, dict(settings, reports=reports), records=reports)
     return 0 if ok else 2
 
 
@@ -246,42 +232,41 @@ def _dp_value_sets(grid, size, rng):
     }
 
 
-def private_median_results(grid, size, trials, epsilon, beta, rng):
+def private_median_results(params, rng):
     """Rank error of ``trials`` private medians on each of five value sets.
 
-    Each result holds the fraction of trials within the rank slack
-    Gamma = 4/epsilon * ln(|grid|/beta) and the worst rank error seen.
+    ``params`` keys and defaults: ``size`` (2000 values per set),
+    ``trials`` (1000), ``epsilon`` (0.25), ``beta`` (0.05) and ``alpha``
+    (0.25, the ratio of the grid of powers (1+alpha)^j, j in [-25, 24]);
+    other keys are ignored.  Returns the settings ``{grid, epsilon, beta,
+    trials}`` and per value set the fraction of trials within the rank
+    slack Gamma = 4/epsilon * ln(|grid|/beta) and the worst rank error seen.
     """
+    size, trials = int(params.get("size", 2000)), int(params.get("trials", 1000))
+    epsilon, beta = float(params.get("epsilon", 0.25)), float(params.get("beta", 0.05))
+    grid = dpcore.SignedGeometricGrid.from_exponent_range(float(params.get("alpha", 0.25)), -25, 24)
     gamma_bound = 4.0 / epsilon * math.log(len(grid) / beta)
     results = []
     for name, values in _dp_value_sets(grid, size, rng).items():
         errs = np.empty(trials)
         for i in range(trials):
-            x = dpcore.private_median(values, grid, epsilon, beta, rng=rng)
-            errs[i] = dpcore.median_rank_error(values, x)
+            errs[i] = dpcore.median_rank_error(values, dpcore.private_median(values, grid, epsilon, rng))
         results.append({"distribution": name,
                         "pass_fraction": float(np.mean(errs <= gamma_bound)),
                         "max_rank_error": float(errs.max()),
                         "gamma_bound": gamma_bound})
-    return results
+    settings = {"grid": grid.to_dict(), "epsilon": epsilon, "beta": beta, "trials": trials}
+    return settings, results
 
 
 def cmd_dp_bench(args, cfg):
-    size = int(cfg.get("size", 2000))
-    trials = int(cfg.get("trials", 1000))
-    epsilon = float(cfg.get("epsilon", 0.25))
-    beta = float(cfg.get("beta", 0.05))
-    alpha = float(cfg.get("alpha", 0.25))
-    grid = dpcore.SignedGeometricGrid.from_exponent_range(alpha, -25, 24)
-    rng = np.random.default_rng(args.seed)
-    results = private_median_results(grid, size, trials, epsilon, beta, rng)
+    settings, results = private_median_results(cfg, np.random.default_rng(args.seed))
     ok = True
     for r in results:
         ok &= _status(f"private median [{r['distribution']}]",
                       r["pass_fraction"] >= DP_PASS_FRACTION,
                       f"{r['pass_fraction']:.3f} of trials within rank slack {r['gamma_bound']:.1f}")
-    _emit(args, {"grid": grid.to_dict(), "epsilon": epsilon, "beta": beta,
-                 "trials": trials, "results": results}, records=results)
+    _emit(args, dict(settings, results=results), records=results)
     return 0 if ok else 2
 
 
@@ -318,16 +303,18 @@ def cmd_setquery_sim(args, cfg):
 
 
 def cmd_complexity(args, cfg):
-    a = float(cfg.get("a", 0.31))
-    c = float(cfg.get("c", 0.0))
-    omega = float(cfg.get("omega", 2.0))
-    theta = cfg.get("theta")
-    result = harness.complexity_model(
-        a, c, omega=omega, theta=float(theta) if theta is not None else None,
-        n=int(cfg.get("n", 1024)),
-    )
+    keys = ("a", "c", "omega", "theta", "n")
+    result = harness.complexity_model(**{key: cfg[key] for key in keys if key in cfg})
     _emit(args, result, records=result["weights"])
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any other error; 2 is a violated threshold."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 COMMANDS = {
@@ -339,10 +326,11 @@ COMMANDS = {
     "setquery-sim": cmd_setquery_sim,
     "complexity": cmd_complexity,
 }
+ORACLE_CHECKED = ("run-maint", "adaptive-sim", "setquery-sim")  # take --check-oracle
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="kronproj", description=__doc__)
+    parser = _Parser(prog="kronproj", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -350,8 +338,9 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--check-oracle", choices=["on", "off"], default="on",
-                       dest="check_oracle")
+        if name in ORACLE_CHECKED:
+            p.add_argument("--check-oracle", choices=["on", "off"], default="on",
+                           dest="check_oracle")
     return parser
 
 

@@ -122,17 +122,18 @@ def median_rank_error(values, x):
     return float(err[0]) if values.ndim == 1 else err
 
 
-def private_median(values, grid, epsilon, beta=0.05, seed=0, rng=None):
+def private_median(values, grid, epsilon, rng):
     """Exponential-mechanism median over a signed geometric grid.
 
     Samples a grid point with probability proportional to
     exp(-epsilon * u(x) / 2) where u(x) is the rank utility
     max(#{v < x}, #{v > x}) - ceil(|values|/2) clamped at zero; its
     sensitivity to swapping one value is 1, so the output is
-    (epsilon, 0)-differentially private.  With probability 1 - beta the
-    output misses a true median by at most O(log(|grid|/beta)/epsilon)
-    ranks.  Cumulative weights are accumulated in extended precision and
-    inverted directly (no Gumbel trick) for reproducibility under seeding.
+    (epsilon, 0)-differentially private.  For every beta in (0, 1), with
+    probability 1 - beta the output misses a true median by at most
+    O(log(|grid|/beta)/epsilon) ranks.  Cumulative weights are accumulated
+    in extended precision and inverted directly (no Gumbel trick) for
+    reproducibility under seeding.
 
     A (q, k) block gives k independent medians, one per column, from the
     k draws ``rng.random(k)``: the same doubles as k scalar draws, so the
@@ -143,8 +144,6 @@ def private_median(values, grid, epsilon, beta=0.05, seed=0, rng=None):
         raise ParameterError("private_median requires nonempty values")
     if not 0.0 < epsilon <= 1.0:
         raise ParameterError("epsilon must lie in (0, 1]")
-    if not 0.0 < beta < 1.0:
-        raise ParameterError("beta must lie in (0, 1)")
     pts = grid.points
     cols = values.reshape(values.shape[0], -1)
     n, k = cols.shape
@@ -162,8 +161,6 @@ def private_median(values, grid, epsilon, beta=0.05, seed=0, rng=None):
     utility = np.maximum(np.maximum(below, above) - math.ceil(n / 2), 0)
     logw = -0.5 * epsilon * (utility - utility.min(axis=0))
     cum = np.cumsum(np.exp(logw.astype(np.longdouble)), axis=0)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     r = rng.random(k).astype(np.longdouble) * cum[-1]
     out = pts[np.count_nonzero(cum <= r, axis=0)]
     return float(out[0]) if values.ndim == 1 else out

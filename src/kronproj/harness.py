@@ -3,14 +3,14 @@
 Every experiment is fully specified by a config dict plus a seed, and the
 serialized report is deterministic: rerunning with the same inputs yields
 byte-identical JSON.  Wall-clock timings are therefore kept out of the
-serialized report by default (they live on the in-memory report object
-and go to the log).
+serialized report (they live on the in-memory report object and go to
+the log).
 """
 
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .sketch import SketchFamily
 SPARSE_K = "sparse-k"
 UNIFORM = "uniform"
 BURSTY = "bursty"
+BURST_PROB = 0.06  # chance of a full-budget step under the bursty pattern
+REPORT_SCHEMA_VERSION = 1
 
 def json_dumps_det(obj):
     """Deterministic JSON encoding (sorted keys, fixed layout)."""
@@ -39,23 +41,20 @@ class RunReport:
     summary: dict
     counters: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-    schema_version: int = 1
 
-    def to_dict(self, include_timings=False):
-        out = {
-            "schema_version": self.schema_version,
+    def to_dict(self):
+        """The deterministic report: everything but ``timings``."""
+        return {
+            "schema_version": REPORT_SCHEMA_VERSION,
             "kind": self.kind,
             "config": self.config,
             "records": self.records,
             "counters": self.counters,
             "summary": self.summary,
         }
-        if include_timings:
-            out["summary"] = dict(self.summary, timings=self.timings)
-        return out
 
-    def to_json(self, include_timings=False):
-        return json_dumps_det(self.to_dict(include_timings=include_timings))
+    def to_json(self):
+        return json_dumps_det(self.to_dict())
 
 
 @dataclass
@@ -64,20 +63,22 @@ class DriftConfig:
 
     Per step the squared per-coordinate log-drift means sum to at most
     C1^2 and the squared variances to at most C2^2; the rank pattern
-    decides how that budget is spread over coordinates.
+    decides how that budget is spread over coordinates.  Fields are
+    coerced to their types, so values read from JSON may be passed as is.
     """
 
-    n: int
-    m: int
-    T: int
-    C1: float = 0.1
+    n: int = 6
+    m: int = 8
+    T: int = 50
+    C1: float = 0.2
     C2: float = 0.0
     rank_pattern: str = UNIFORM
     sparse_k: int = 1
-    burst_prob: float = 0.06
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, f.type(getattr(self, f.name)))
         if self.C1 < 0 or self.C2 < 0:
             raise ParameterError("drift budgets must be nonnegative")
         if self.rank_pattern not in (SPARSE_K, UNIFORM, BURSTY):
@@ -114,7 +115,7 @@ def gen_drift_sequence(cfg):
         elif cfg.rank_pattern == UNIFORM:
             inc = _drift_step(rng, n, cfg.C1, cfg.C2, np.arange(n))
         else:  # bursty: occasional full-budget bursts, quiet single moves
-            if rng.random() < cfg.burst_prob:
+            if rng.random() < BURST_PROB:
                 inc = _drift_step(rng, n, cfg.C1, cfg.C2, np.arange(n))
             else:
                 coords = rng.choice(n, size=1)
@@ -141,20 +142,20 @@ def _oracle_core(constraints, basis, lam):
     return G.T @ np.linalg.solve(gram, G)
 
 
-def run_maintenance_experiment(
-    cfg,
-    eps_mp=0.05,
-    a_exp=0.5,
-    s=4,
-    b=32,
-    check_oracle=True,
-):
+def run_maintenance_experiment(params):
     """Drive the maintained projection over a drift sequence.
 
-    With ``check_oracle`` enabled, every update is checked against the
-    from-scratch core matrix at the stored eigenvalues and every query
-    against the materialized exact projection at lam_tilde.
+    ``params`` is flat: the fields of ``DriftConfig``, the
+    ``MaintainedProjection`` arguments ``eps_mp``, ``a_exp``, ``s`` and
+    ``b``, and ``check_oracle`` (True).  An absent key takes the default of
+    the class that reads it; other keys are ignored.  With ``check_oracle``
+    enabled, every update is checked against the from-scratch core matrix
+    at the stored eigenvalues and every query against the materialized
+    exact projection at lam_tilde.
     """
+    cfg = DriftConfig(**{f.name: params[f.name] for f in fields(DriftConfig) if f.name in params})
+    mp_args = {key: params[key] for key in ("eps_mp", "a_exp", "s", "b") if key in params}
+    check_oracle = bool(params.get("check_oracle", True))
     t_start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed ^ 0x9E3779B9) & (2**64 - 1)))
     n = cfg.n
@@ -163,16 +164,7 @@ def run_maintenance_experiment(
     seq = gen_drift_sequence(cfg)
     W0 = EigenWeight(basis, seq[0])
     t_init0 = time.perf_counter()
-    mp = MaintainedProjection(
-        constraints,
-        W0,
-        eps_mp=eps_mp,
-        a_exp=a_exp,
-        family=SketchFamily.gaussian(),
-        s=s,
-        b=b,
-        seed=cfg.seed,
-    )
+    mp = MaintainedProjection(constraints, W0, seed=cfg.seed, **mp_args)
     t_init1 = time.perf_counter()
 
     records = []
@@ -213,15 +205,14 @@ def run_maintenance_experiment(
 
     summary = {
         "max_lam_tilde_log_ratio": max_log_ratio,
-        "eps_mp_half": eps_mp / 2.0,
-        "full_recomputes": mp.counters["full_recomputes"],
+        "eps_mp_half": mp.eps_mp / 2.0,
         "total_woodbury_rank": int(sum(mp.counters["woodbury_ranks"])),
     }
     if check_oracle:
         summary["max_m_rel_err"] = max_m_err
         summary["max_query_rel_err"] = max_q_err
-    config = dict(cfg.to_dict(), eps_mp=eps_mp, a_exp=a_exp, s=s, b=b,
-                  family="gaussian", check_oracle=bool(check_oracle))
+    config = dict(cfg.to_dict(), eps_mp=mp.eps_mp, a_exp=mp.a_exp, s=mp.s, b=mp.b,
+                  family=mp.family.tag, check_oracle=check_oracle)
     return RunReport(
         kind="maintenance",
         config=config,
@@ -462,19 +453,19 @@ def adaptive_battery(mode, adversary, runs, params):
 # -- complexity-model reporting --------------------------------------------
 
 
-def complexity_model(a, c, omega=2.0, theta=None, n=1024):
+def complexity_model(a=0.31, c=0.0, omega=2.0, theta=None, n=1024):
     """Rectangular-multiplication cost exponent and amortization weights.
 
     theta defaults to omega + 2 (the dense-fallback bound for the
-    n^2 x n x n^2 product).  Raises for a = 1, where the exponent formula
-    degenerates.
+    n^2 x n x n^2 product).  Arguments are coerced to float (n to int).
+    Raises for a = 1, where the exponent formula degenerates.
     """
+    a, c, omega, n = float(a), float(c), float(omega), int(n)
+    theta = omega + 2.0 if theta is None else float(theta)
     if not 0.0 < a < 1.0:
         raise ParameterError("a must lie in (0, 1)")
     if not 0.0 <= c < 1.0:
         raise ParameterError("c must lie in [0, 1)")
-    if theta is None:
-        theta = omega + 2.0
     f_ac = (c * (theta - omega - 2.0) + a * (2.0 + theta - c * theta - omega + 2.0 * c * omega) - theta) / (a - 1.0)
     cutoff = n**a
     weights = []

@@ -39,16 +39,6 @@ def vec(X):
     return np.asarray(X, dtype=float).ravel(order="F")
 
 
-def unvec(x, rows, cols=None):
-    """Inverse of :func:`vec`: reshape a vector to ``rows x cols``."""
-    if cols is None:
-        cols = rows
-    x = np.asarray(x, dtype=float)
-    if x.size != rows * cols:
-        raise DimensionError(f"cannot reshape length {x.size} to {rows}x{cols}")
-    return x.reshape((rows, cols), order="F")
-
-
 def kron_apply(A, B, x):
     """Compute (A (x) B) x without materializing the Kronecker product.
 
@@ -106,16 +96,12 @@ class EigenWeight:
         if np.min(self.eigvals) < 0:
             raise NotPSDError("EigenWeight eigenvalues must be nonnegative")
 
-    @property
-    def n(self):
-        return self.basis.shape[0]
-
     def matrix(self):
         """Materialize W = U diag(eigvals) U^T."""
         return (self.basis * self.eigvals) @ self.basis.T
 
 
-def sym_eigen(W, sym_tol=SYMMETRY_TOL):
+def sym_eigen(W):
     """Spectral decomposition of a symmetric PSD matrix.
 
     Returns an :class:`EigenWeight` with eigenvalues sorted nonincreasing;
@@ -129,7 +115,7 @@ def sym_eigen(W, sym_tol=SYMMETRY_TOL):
         raise DimensionError("sym_eigen expects a square matrix")
     scale = max(1.0, float(np.max(np.abs(W))) if W.size else 1.0)
     asym = float(np.max(np.abs(W - W.T))) if W.size else 0.0
-    if asym > sym_tol * scale:
+    if asym > SYMMETRY_TOL * scale:
         raise NotSymmetricError(f"matrix not symmetric (max asymmetry {asym:.2e})")
     lam, U = np.linalg.eigh(0.5 * (W + W.T))
     clamp = EIG_CLAMP_TOL * scale

@@ -34,7 +34,6 @@ from .kronlinalg import (
     EigenWeight,
     kron_apply,
     kron_diag,
-    vec,
 )
 from .sketch import SketchBatch, SketchFamily
 
@@ -67,13 +66,6 @@ class ConstraintBatch:
         rank = int(np.sum(diag > tol))
         if rank < m:
             raise RankDeficiencyError(f"constraint rows have rank {rank} < m = {m}")
-
-    @classmethod
-    def from_matrices(cls, mats):
-        mats = [np.asarray(A, dtype=float) for A in mats]
-        n = mats[0].shape[0]
-        rows = np.stack([vec(A) for A in mats])
-        return cls(matrix=rows, n=n)
 
     @property
     def m(self):
@@ -112,6 +104,16 @@ def soft_threshold(lam, lam_new, r):
     return lam_hat, r
 
 
+def _checked_settings(eps_mp, a_exp):
+    """``eps_mp`` and ``a_exp`` as floats, held to the initialization contract."""
+    eps_mp, a_exp = float(eps_mp), float(a_exp)
+    if not 0.0 < eps_mp < 0.1:
+        raise ParameterError("eps_mp must lie in (0, 0.1)")
+    if not 0.0 < a_exp < 1.0:
+        raise ParameterError("a_exp must lie in (0, 1)")
+    return eps_mp, a_exp
+
+
 def kron_apply_block(A, B, X):
     """Apply (A (x) B) to every column of X without materializing it."""
     A = np.asarray(A, dtype=float)
@@ -144,21 +146,16 @@ class MaintainedProjection:
         eps_mp=0.05,
         a_exp=0.5,
         family=None,
-        s=8,
-        b=64,
+        s=4,
+        b=32,
         seed=0,
     ):
-        if not 0.0 < eps_mp < 0.1:
-            raise ParameterError("eps_mp must lie in (0, 0.1)")
-        if not 0.0 < a_exp < 1.0:
-            raise ParameterError("a_exp must lie in (0, 1)")
+        self.eps_mp, self.a_exp = _checked_settings(eps_mp, a_exp)
         if family is None:
             family = SketchFamily.gaussian()
         self.constraints = constraints
         self.n = constraints.n
         self.m = constraints.m
-        self.eps_mp = float(eps_mp)
-        self.a_exp = float(a_exp)
         self.family = family
         self.s = int(s)
         self.b = int(b)
@@ -396,9 +393,10 @@ class MaintainedProjection:
             matrix=np.asarray(snap["constraints"], dtype=float), n=snap["n"]
         )
         obj.n = snap["n"]
-        obj.m = snap["m"]
-        obj.eps_mp = snap["eps_mp"]
-        obj.a_exp = snap["a_exp"]
+        obj.m = obj.constraints.m
+        if snap["m"] != obj.m:
+            raise ParameterError(f"snapshot: m = {snap['m']} for {obj.m} constraint rows")
+        obj.eps_mp, obj.a_exp = _checked_settings(snap["eps_mp"], snap["a_exp"])
         obj.family = SketchFamily(snap["family"]["tag"], snap["family"]["sparsity"])
         obj.s = snap["s"]
         obj.b = snap["b"]

@@ -3,7 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  Tolerances are pinned, not configurable: criteria
 1-6 run the checks of ``kronproj.cli`` and read their tolerances from there,
-so the CLI and this suite cannot drift apart.
+and every criterion leaves each setting it does not fix to the default of
+the library function that reads it, so the CLI and this suite cannot drift
+apart.
 """
 
 import math
@@ -12,10 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from kronproj import adaptive, cli, dpcore, harness, sketch
-from kronproj.projmaint import ConstraintBatch
-
-EPS_MP = 0.05
+from kronproj import adaptive, cli, dpcore, harness
 
 
 def record(name, ok, detail=""):
@@ -45,14 +44,8 @@ def maintenance_trajectories():
     for run in range(50):
         n, m = dims[run % len(dims)]
         pname, pkw = patterns[run % len(patterns)]
-        cfg = harness.DriftConfig(
-            n=n, m=m, T=100, rank_pattern=pname, seed=10_000 + run, **pkw
-        )
-        reports.append(
-            harness.run_maintenance_experiment(
-                cfg, eps_mp=EPS_MP, a_exp=0.5, check_oracle=True
-            )
-        )
+        params = dict(n=n, m=m, T=100, rank_pattern=pname, seed=10_000 + run, **pkw)
+        reports.append(harness.run_maintenance_experiment(params))
     return reports
 
 
@@ -68,44 +61,40 @@ def test_criterion_01_oracle_equivalence(maintenance_trajectories):
 
 def test_criterion_02_spectral_approximation(maintenance_trajectories):
     worst = max(r.summary["max_lam_tilde_log_ratio"] for r in maintenance_trajectories)
+    half = maintenance_trajectories[0].summary["eps_mp_half"]
     record(
         "criterion 2: spectral approximation |log ratio| <= eps_mp/2",
-        worst <= EPS_MP / 2.0 + cli.ROUNDOFF_TOL,
-        f"max |log ratio| {worst:.6f} vs {EPS_MP / 2.0}",
+        worst <= half + cli.ROUNDOFF_TOL,
+        f"max |log ratio| {worst:.6f} vs {half}",
     )
 
 
 def test_criterion_03_kronecker_identity_suite():
-    worst = max(cli.kron_identity_errors(np.random.default_rng(77), 100).values())
+    worst = max(cli.kron_identity_errors(np.random.default_rng(77), cli.ORACLE_REPS).values())
     record(
-        f"criterion 3: Kronecker identity suite (100 instances each, tol {tol(cli.ROUNDOFF_TOL)})",
+        f"criterion 3: Kronecker identity suite ({cli.ORACLE_REPS} instances each, "
+        f"tol {tol(cli.ROUNDOFF_TOL)})",
         worst <= cli.ROUNDOFF_TOL,
         f"max abs deviation {worst:.2e}",
     )
 
 
 def test_criterion_04_woodbury_correctness():
-    worst = cli.woodbury_error(np.random.default_rng(78), 100)
+    worst = cli.woodbury_error(np.random.default_rng(78), cli.ORACLE_REPS)
     record(
-        f"criterion 4: Woodbury vs direct inversion (100 instances, tol {tol(cli.WOODBURY_TOL)})",
+        f"criterion 4: Woodbury vs direct inversion ({cli.ORACLE_REPS} instances, "
+        f"tol {tol(cli.WOODBURY_TOL)})",
         worst <= cli.WOODBURY_TOL,
         f"max rel err {worst:.2e}",
     )
 
 
 def test_criterion_05_coordinate_wise_embedding():
-    b, n, trials, delta = 256, 1024, 10_000, 0.01
-    tail_bound = cli.ce_tail_bound(n, delta)
-    families = [
-        sketch.SketchFamily.gaussian(),
-        sketch.SketchFamily.srht(),
-        sketch.SketchFamily.ams(),
-        sketch.SketchFamily.countsketch(),
-        sketch.SketchFamily.sparse_embedding(8),
-    ]
+    settings, checks = cli.ce_checks({}, seed=4242)
+    tail_bound = cli.ce_tail_bound(settings["n"], settings["delta"])
     ok = True
     details = []
-    for rep, unbiased, tail_ok in cli.ce_checks(families, b, n, trials, seed=4242, delta=delta):
+    for rep, unbiased, tail_ok in checks:
         ok &= unbiased
         if tail_ok is None:
             details.append(f"{rep.family}: bias ok={unbiased}, beta {rep.beta_hat:.1f} (report only)")
@@ -113,19 +102,16 @@ def test_criterion_05_coordinate_wise_embedding():
             ok &= tail_ok
             details.append(f"{rep.family}: bias ok={unbiased}, beta {rep.beta_hat:.1f}<={tail_bound:.0f}")
     record(
-        "criterion 5: coordinate-wise embedding, 5 families at b=256 n=1024",
+        f"criterion 5: coordinate-wise embedding, {len(checks)} families "
+        f"at b={settings['b']} n={settings['n']}",
         ok,
         "; ".join(details),
     )
 
 
 def test_criterion_06_private_median_rank_slack():
-    epsilon, beta, size, trials = 0.25, 0.05, 2000, 1000
-    grid = dpcore.SignedGeometricGrid.from_exponent_range(0.25, -25, 24)
-    assert len(grid) == 101
-    results = cli.private_median_results(
-        grid, size, trials, epsilon, beta, np.random.default_rng(4821)
-    )
+    settings, results = cli.private_median_results({}, np.random.default_rng(4821))
+    assert settings["grid"]["points"] == 101
     record(
         "criterion 6: private median rank slack (Gamma = %.1f) on 5 distributions"
         % results[0]["gamma_bound"],
@@ -146,7 +132,7 @@ def test_criterion_07_dp_smoke():
     for vals in (vals1, vals2):
         idx = np.empty(N, dtype=int)
         for i in range(N):
-            idx[i] = grid.index_of(dpcore.private_median(vals, grid, epsilon, 0.05, rng=rng))
+            idx[i] = grid.index_of(dpcore.private_median(vals, grid, epsilon, rng))
         freqs.append(np.bincount(idx, minlength=len(grid)) / N)
     p1, p2 = freqs
     worst_margin = np.inf
@@ -167,10 +153,7 @@ def test_criterion_07_dp_smoke():
 
 def test_criterion_08_adaptive_norm_reduction():
     # b = 4096 puts the Gaussian tail gamma = 5/sqrt(b) ~ 0.078 <= 0.1
-    params = dict(
-        T=50, n=16, L=20, q=7, alpha=0.25, delta=0.1,
-        estimator="sketch", b=4096, u_bound=8.0, seed=60_000,
-    )
+    params = dict(estimator="sketch", b=4096, seed=60_000)
     frac, reports = harness.adaptive_battery("norm", "feedback", 200, params)
     gamma = reports[0].summary["gamma"]
     record(
@@ -181,14 +164,11 @@ def test_criterion_08_adaptive_norm_reduction():
 
 
 def test_criterion_09_setquery_reduction():
-    params = dict(
-        T=50, n=16, k=8, L=20, q=7, alpha=0.25, delta=0.1,
-        estimator="sketch", b=4096, u_bound=2.0, seed=70_000,
-    )
+    params = dict(n=16, estimator="sketch", b=4096, seed=70_000)
     frac, reports = harness.adaptive_battery("setquery", "feedback", 200, params)
     gamma = reports[0].summary["gamma"]
     record(
-        "criterion 9: adaptive set-query reduction (k=8, 200 runs)",
+        f"criterion 9: adaptive set-query reduction (k={reports[0].config['k']}, 200 runs)",
         gamma <= 0.1 and frac >= 0.9,
         f"gamma {gamma:.3f}, all-(t,j)-ok fraction {frac:.3f}",
     )
@@ -239,12 +219,8 @@ def test_criterion_12_determinism(tmp_path):
     code1 = cli.main(["run-maint", "--config", str(cfg), "--seed", "5", "--out", str(out1)])
     code2 = cli.main(["run-maint", "--config", str(cfg), "--seed", "5", "--out", str(out2)])
     same_maint = out1.read_bytes() == out2.read_bytes()
-    a = harness.run_adaptive_experiment(
-        "norm", "feedback", dict(T=10, n=16, L=10, q=5, seed=33, estimator="sketch", b=256)
-    ).to_json()
-    b = harness.run_adaptive_experiment(
-        "norm", "feedback", dict(T=10, n=16, L=10, q=5, seed=33, estimator="sketch", b=256)
-    ).to_json()
+    params = dict(T=10, L=10, q=5, seed=33, estimator="sketch", b=256)
+    a, b = (harness.run_adaptive_experiment("norm", "feedback", params).to_json() for _ in range(2))
     record(
         "criterion 12: identical config+seed reruns are byte-identical",
         code1 == 0 and code2 == 0 and same_maint and a == b,

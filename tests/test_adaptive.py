@@ -35,7 +35,7 @@ class StubEstimator:
 class TestParams:
     def test_norm_params_closed_form(self):
         T, delta, alpha, u = 100, 0.1, 0.5, 2.0**20
-        q, L, delta0 = ad.norm_wrapper_params(T, u, alpha, delta, scale=1.0)
+        q, L, delta0 = ad.norm_wrapper_params(T, u, alpha, delta)
         log_grid = math.log(u) / math.log1p(alpha)
         q_want = math.ceil(8.0 * math.log(log_grid * T / (alpha * delta)))
         assert q == q_want
@@ -44,8 +44,12 @@ class TestParams:
         assert L == L_want
 
     def test_norm_params_lower_bounds(self):
-        q, L, _ = ad.norm_wrapper_params(1, 1.001, 0.9, 0.999, scale=1e-12)
-        assert q >= 1 and L >= q
+        # the smallest T, U and 1/(alpha delta) the checks admit still give
+        # q >= 8 and thousands of copies per sampled one
+        q, L, _ = ad.norm_wrapper_params(1, 1.001, 0.999, 0.999)
+        assert q >= 8 and L >= 3000 * q
+        q, L, _ = ad.setquery_wrapper_params(1, 1, 1.001, 0.999, 0.999)
+        assert q >= 8 and L >= 3000 * q
 
     def test_setquery_params_formula(self):
         T, k, delta = 50, 8, 0.1
@@ -215,7 +219,7 @@ def _loop_step(w, query, **info):
                 w.counters["overflow_clamps"] += 1
                 f = math.copysign(w.grid.u_bound, f)
             col.append(ad.round_to_grid(f, w.grid))
-        u.append(ad.private_median(col, w.grid, w.eps_pm, w.median_beta, rng=w.rng))
+        u.append(ad.private_median(col, w.grid, w.eps_pm, w.rng))
         errs.append(float(ad.median_rank_error(col, u[-1])))
         rounded_cols.append(col)
     rounded = [list(row) for row in zip(*rounded_cols)]

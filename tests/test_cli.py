@@ -162,3 +162,22 @@ class TestErrors:
     def test_invalid_parameter_exits_one(self, tmp_path):
         cfg = write_cfg(tmp_path, {"a": 1.0})
         assert run_cli(["complexity", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run-maint", "--bogus", "1"],
+        ["no-such-command"],
+        [],
+        ["ce-bench", "--seed", "x"],
+    ])
+    def test_usage_error_exits_one(self, argv, capsys):
+        # exit code 2 is reserved for a violated acceptance threshold
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify-oracle", "ce-bench", "dp-bench", "complexity"])
+    def test_check_oracle_refused_where_unread(self, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--check-oracle", "off"])
+        assert exc.value.code == 1

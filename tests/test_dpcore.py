@@ -110,7 +110,7 @@ class TestPrivateMedian:
         hits = 0
         rng = np.random.default_rng(42)
         for _ in range(1000):
-            if dp.private_median(values, g, 0.25, 0.05, rng=rng) == 1.0:
+            if dp.private_median(values, g, 0.25, rng) == 1.0:
                 hits += 1
         assert hits >= 950
 
@@ -120,7 +120,7 @@ class TestPrivateMedian:
         values = np.concatenate([np.full(1000, -1.0), np.full(1000, 1.0)])
         rng = np.random.default_rng(43)
         for _ in range(50):
-            x = dp.private_median(values, g, 0.25, 0.05, rng=rng)
+            x = dp.private_median(values, g, 0.25, rng)
             assert dp.median_rank_error(values, x) == 0.0
 
     def test_staircase_rank_slack(self):
@@ -130,7 +130,7 @@ class TestPrivateMedian:
         rng = np.random.default_rng(44)
         errs = [
             dp.median_rank_error(
-                values, dp.private_median(values, g, 0.25, 0.05, rng=rng)
+                values, dp.private_median(values, g, 0.25, rng)
             )
             for _ in range(300)
         ]
@@ -139,19 +139,19 @@ class TestPrivateMedian:
     def test_seed_determinism(self):
         g = dp.SignedGeometricGrid(16.0, 0.5)
         values = np.full(50, g.points[5])
-        a = dp.private_median(values, g, 0.5, 0.05, seed=7)
-        b = dp.private_median(values, g, 0.5, 0.05, seed=7)
+        a = dp.private_median(values, g, 0.5, np.random.default_rng(7))
+        b = dp.private_median(values, g, 0.5, np.random.default_rng(7))
         assert a == b
 
     def test_off_grid_rejected(self):
         g = dp.SignedGeometricGrid(16.0, 0.5)
         with pytest.raises(GridDomainError):
-            dp.private_median(np.array([0.123]), g, 0.5)
+            dp.private_median(np.array([0.123]), g, 0.5, np.random.default_rng(0))
 
     def test_empty_rejected(self):
         g = dp.SignedGeometricGrid(16.0, 0.5)
         with pytest.raises(ParameterError):
-            dp.private_median(np.array([]), g, 0.5)
+            dp.private_median(np.array([]), g, 0.5, np.random.default_rng(0))
 
     def test_dp_ratio_smoke_small(self):
         # neighboring multisets: frequency ratios bounded by e^eps plus
@@ -166,7 +166,7 @@ class TestPrivateMedian:
         counts = []
         for vals in (vals1, vals2):
             idx = [
-                g.index_of(dp.private_median(vals, g, eps, 0.05, rng=rng))
+                g.index_of(dp.private_median(vals, g, eps, rng))
                 for _ in range(N)
             ]
             counts.append(np.bincount(idx, minlength=len(g)) / N)
@@ -268,7 +268,7 @@ class TestArrayPrimitivesMatchScalarLoop:
                 block = dp.round_to_grid(np.clip(self._block(rng, g, q, k), -2.0, 2.0), g)
                 seed = int(rng.integers(2**32))
                 a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = dp.private_median(block, g, eps, 0.05, rng=a)
+                got = dp.private_median(block, g, eps, a)
                 want = np.array(
                     [_sorted_private_median(block[:, j], g, eps, b) for j in range(k)]
                 )
@@ -281,7 +281,7 @@ class TestArrayPrimitivesMatchScalarLoop:
                 assert errs.tobytes() == want_errs.tobytes()
                 col = block[:, 0]
                 a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-                x = dp.private_median(col, g, eps, 0.05, rng=a)
+                x = dp.private_median(col, g, eps, a)
                 assert x == _sorted_private_median(col, g, eps, b)
                 assert a.random() == b.random()
                 assert dp.median_rank_error(col, x) == _sorted_median_rank_error(col, x)
@@ -291,7 +291,7 @@ class TestArrayPrimitivesMatchScalarLoop:
         block = np.full((4, 3), g.points[5])
         block[3, 2] = 0.123
         with pytest.raises(GridDomainError):
-            dp.private_median(block, g, 0.5)
+            dp.private_median(block, g, 0.5, np.random.default_rng(0))
 
 
 class TestComposition:

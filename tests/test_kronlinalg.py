@@ -84,10 +84,10 @@ class TestKronIdentities:
                 kl.vec(A) @ kl.vec(B), np.trace(A.T @ B), atol=1e-12
             )
 
-    def test_vec_unvec_roundtrip(self):
-        rng = rng_for(6)
-        X = rng.standard_normal((4, 4))
-        npt.assert_array_equal(kl.unvec(kl.vec(X), 4), X)
+    def test_vec_reshape_roundtrip(self):
+        # vec stacks columns, so a column-major reshape undoes it
+        X = rng_for(6).standard_normal((4, 3))
+        npt.assert_array_equal(kl.vec(X).reshape((4, 3), order="F"), X)
 
 
 class TestKronDiag:

@@ -68,9 +68,9 @@ class TestConstraintBatch:
         with pytest.raises(RankDeficiencyError):
             ConstraintBatch(matrix=np.eye(5)[:, :4], n=2)
 
-    def test_from_matrices(self):
+    def test_rows_are_vectorized_matrices(self):
         mats = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
-        cons = ConstraintBatch.from_matrices(mats)
+        cons = ConstraintBatch(matrix=[vec(A) for A in mats], n=2)
         assert cons.m == 2 and cons.n == 2
         npt.assert_array_equal(cons.matrix[0], vec(np.eye(2)))
 
@@ -121,7 +121,7 @@ class TestSoftThreshold:
 
 class TestInit:
     def test_single_identity_constraint(self):
-        cons = ConstraintBatch.from_matrices([np.eye(2)])
+        cons = ConstraintBatch(matrix=[vec(np.eye(2))], n=2)
         mp = MaintainedProjection(cons, np.eye(2), s=2, b=4, seed=0)
         want = np.outer(vec(np.eye(2)), vec(np.eye(2))) / 2.0
         npt.assert_allclose(mp.M, want, atol=1e-12)
@@ -153,7 +153,7 @@ class TestInit:
         assert mp.Q.shape == (16, 24)
 
     def test_invalid_eps(self):
-        cons = ConstraintBatch.from_matrices([np.eye(2)])
+        cons = ConstraintBatch(matrix=[vec(np.eye(2))], n=2)
         with pytest.raises(ParameterError):
             MaintainedProjection(cons, np.eye(2), eps_mp=0.5)
 
@@ -569,11 +569,16 @@ class TestSnapshot:
             ("lam_tilde", lambda snap: [float("nan")] * snap["n"]),
             ("lam_tilde", lambda snap: [0.0] * snap["n"]),
             ("last_external", lambda snap: snap["last_external"][:-1]),
+            ("eps_mp", lambda snap: 0.5),
+            ("eps_mp", lambda snap: -1.0),
+            ("a_exp", lambda snap: 3.0),
+            ("m", lambda snap: snap["m"] - 1),
         ],
         ids=[
             "cursor_past_pool", "negative_cursor", "scaled_basis", "negative_lam",
             "lam_below_floor", "zero_floor", "nan_lam_tilde", "zero_lam_tilde",
-            "short_last_external",
+            "short_last_external", "eps_mp_above_range", "negative_eps_mp",
+            "a_exp_above_one", "m_short_of_rows",
         ],
     )
     def test_corrupt_state_rejected(self, key, corrupt):
