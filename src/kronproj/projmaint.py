@@ -2,9 +2,10 @@
 
 Maintains Y, an orthonormal basis of the range of (L (x) L)^{1/2} G^T for
 G = A (U (x) U), from a Householder QR at the maintained eigenvalues lam, so
-that the projection at lam is (U (x) U) Y Y^T (U (x) U)^T.  The sketched
-product Q = Y Y^T (U (x) U)^T R^T of the sketch pool R answers projected
-matrix-vector queries.  Small eigenvalue drifts are absorbed lazily; larger
+that the projection at lam is (U (x) U) Y Y^T (U (x) U)^T.  For each sketch
+R_l of the pool, the block Q_l = Y Y^T (U (x) U)^T R_l^T answers projected
+matrix-vector queries; it is computed when a query first reads it and
+dropped with the pool.  Small eigenvalue drifts are absorbed lazily; larger
 ones, batched by a geometric soft-threshold rule, recompute Y at the new
 eigenvalues.  Queries return the projection at the query-time approximation
 lam_tilde, reached from Y by a Woodbury correction on the Kronecker support
@@ -114,6 +115,14 @@ def _checked_settings(eps_mp, a_exp):
     return eps_mp, a_exp
 
 
+def _snapshot_int(snap, key, lo, hi=math.inf):
+    """``snap[key]`` as an int in [lo, hi), or a ParameterError naming it."""
+    v = snap[key]
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v < hi:
+        raise ParameterError(f"snapshot: {key} = {v!r} is not an integer in [{lo}, {hi})")
+    return int(v)
+
+
 def kron_apply_block(A, B, X):
     """Apply (A (x) B) to every column of X without materializing it."""
     A = np.asarray(A, dtype=float)
@@ -136,7 +145,7 @@ class MaintainedProjection:
     controls the spectral approximation, ``a_exp`` in (0, 1) sets the lazy
     threshold n^a_exp on the number of drifted eigenvalues, and the pool
     holds ``s`` sketches of dimension ``b`` that are regenerated with fresh
-    seeds on every non-lazy update and on exhaustion, when Y is also recomputed.
+    seeds on every non-lazy update, which also recomputes Y, and on exhaustion.
     """
 
     def __init__(
@@ -199,7 +208,9 @@ class MaintainedProjection:
         square root of the condition of the Gram matrix G (L (x) L) G^T.
         """
         khalf = kron_diag(np.sqrt(lam), np.sqrt(lam))
-        Y, R = scipy.linalg.qr(khalf[:, None] * self.G.T, mode="economic", check_finite=False)
+        Y, R = scipy.linalg.qr(
+            khalf[:, None] * self.G.T, overwrite_a=True, mode="economic", check_finite=False
+        )
         kronlinalg._guard(scipy.linalg.lapack.dtrcon(R)[0], CONDITION_BOUND, "core QR")
         return Y
 
@@ -216,14 +227,20 @@ class MaintainedProjection:
         return int(ss.generate_state(1, dtype=np.uint64)[0])
 
     def _install_pool(self):
-        """Draw a fresh pool and rebuild Q from the current Y."""
+        """Draw a fresh pool; its Q blocks wait for the queries that read them."""
         self.pool = SketchBatch.generate(
             self.family, self.s, self.b, self.n * self.n, self._pool_seed()
         )
         self._regen_count += 1
-        W1 = kron_apply_block(self.basis.T, self.basis.T, self.pool.transpose_dense())
-        self.Q = self.Y @ (self.Y.T @ W1)
+        self.Q = [None] * self.s
         self.cursor = 0
+
+    def q_block(self, l):
+        """Q_l = Y Y^T (U (x) U)^T R_l^T for pool sketch l, computed on first read."""
+        if self.Q[l] is None:
+            W1 = kron_apply_block(self.basis.T, self.basis.T, self.pool[l].to_dense().T)
+            self.Q[l] = self.Y @ (self.Y.T @ W1)
+        return self.Q[l]
 
     # -- operations --------------------------------------------------------
 
@@ -259,6 +276,7 @@ class MaintainedProjection:
             self.counters["woodbury_ranks"].append(int(np.count_nonzero(change)))
             self.lam = lam_hat
             self._install_pool()
+            self.q_block(0)  # lam_tilde == lam below, so the next query reads it
         self.counters["updates"] += 1  # only once the step has taken
 
         close = np.abs(np.log(lam_ext) - np.log(self.lam)) <= self.eps_mp / 2.0
@@ -271,15 +289,15 @@ class MaintainedProjection:
 
         The output equals the exact projection at lam_tilde applied to
         R_l^T R_l h, where R_l is the sketch at the cursor.  Consumes one
-        sketch; the pool is regenerated (and Q rebuilt) on exhaustion.
+        sketch; the pool is regenerated on exhaustion.
         """
         h = self._query_vector(h, "query")
         l = self.cursor
         sketch = self.pool[l]
         rh = sketch.apply(h)
         if np.array_equal(self.lam_tilde, self.lam):
-            # no lazy drift pending: the pool's Q block is Y Y^T (U (x) U)^T R_l^T
-            p = self.Q[:, l * self.b : (l + 1) * self.b] @ rh
+            # no lazy drift pending: the projection at lam is Y Y^T
+            p = self.q_block(l) @ rh
         else:
             p = self._project(kron_apply(self.basis.T, self.basis.T, sketch.apply_adjoint(rh)))
         p_l = kron_apply(self.basis, self.basis, p)
@@ -389,19 +407,20 @@ class MaintainedProjection:
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ParameterError(f"unsupported snapshot version {snap.get('version')}")
         obj = cls.__new__(cls)
+        obj.n = _snapshot_int(snap, "n", 1)
         obj.constraints = ConstraintBatch(
-            matrix=np.asarray(snap["constraints"], dtype=float), n=snap["n"]
+            matrix=np.asarray(snap["constraints"], dtype=float), n=obj.n
         )
-        obj.n = snap["n"]
         obj.m = obj.constraints.m
         if snap["m"] != obj.m:
             raise ParameterError(f"snapshot: m = {snap['m']} for {obj.m} constraint rows")
         obj.eps_mp, obj.a_exp = _checked_settings(snap["eps_mp"], snap["a_exp"])
         obj.family = SketchFamily(snap["family"]["tag"], snap["family"]["sparsity"])
-        obj.s = snap["s"]
-        obj.b = snap["b"]
+        obj.s = _snapshot_int(snap, "s", 1)
+        obj.b = _snapshot_int(snap, "b", 1)
         obj._root_seed = snap["root_seed"]
-        obj._regen_count = snap["regen_count"]
+        obj._regen_count = _snapshot_int(snap, "regen_count", 0)
+        cursor = _snapshot_int(snap, "cursor", 0, obj.s)
         ew = EigenWeight(snap["basis"], snap["lam"])  # orthonormal, nonnegative
         obj.basis, obj.lam, obj.eig_floor = ew.basis, ew.eigvals, float(snap["eig_floor"])
         if not (0.0 < obj.eig_floor < np.inf and np.all(obj.lam >= obj.eig_floor)):
@@ -411,10 +430,8 @@ class MaintainedProjection:
         for name, x in (("lam_tilde", obj.lam_tilde), ("last_external", obj._last_external)):
             if x.shape != (obj.n,) or not np.all(np.isfinite(x) & (x > 0)):
                 raise ParameterError(f"snapshot: {name} must be {obj.n} finite positive values")
-        if not 0 <= snap["cursor"] < obj.s:
-            raise ParameterError(f"snapshot: cursor {snap['cursor']} outside the pool of {obj.s}")
         obj.counters = dict(snap["counters"])
         obj.counters["woodbury_ranks"] = list(obj.counters["woodbury_ranks"])
         obj._build()
-        obj.cursor = snap["cursor"]
+        obj.cursor = cursor
         return obj

@@ -52,6 +52,21 @@ def oracle_core(cons, U, lam):
     return G.T @ np.linalg.solve(gram, G)
 
 
+def assert_blocks_match_oracle(mp):
+    """(U (x) U) Q_l is the exact projection at lam applied to R_l^T, for every l."""
+    proj = oracle.exact_projection(mp.constraints, (mp.basis * mp.lam) @ mp.basis.T)
+    for l in range(mp.s):
+        npt.assert_allclose(
+            kron_apply_block(mp.basis, mp.basis, mp.q_block(l)),
+            proj @ mp.pool[l].to_dense().T,
+            atol=1e-8,
+        )
+
+
+def held_blocks(mp):
+    return [l for l, q in enumerate(mp.Q) if q is not None]
+
+
 def materialize_maintained_projection(mp):
     kh = np.sqrt(kron_diag(mp.lam, mp.lam))
     K = np.kron(mp.basis, mp.basis)
@@ -150,7 +165,9 @@ class TestInit:
         mp, _, _, _ = make_state(4, 5, seed=3, s=3, b=8)
         npt.assert_array_equal(mp.lam_tilde, mp.lam)
         assert mp.cursor == 0
-        assert mp.Q.shape == (16, 24)
+        assert held_blocks(mp) == []  # each block waits for its first read
+        assert [mp.q_block(l).shape for l in range(3)] == [(16, 8)] * 3
+        assert_blocks_match_oracle(mp)
 
     def test_invalid_eps(self):
         cons = ConstraintBatch(matrix=[vec(np.eye(2))], n=2)
@@ -158,15 +175,9 @@ class TestInit:
             MaintainedProjection(cons, np.eye(2), eps_mp=0.5)
 
     def test_qp_consistency_at_init(self):
-        # (U (x) U) Q is the exact projection applied to the sketch stack R^T
         mp, _, _, _ = make_state(3, 4, seed=4)
-        W = (mp.basis * mp.lam) @ mp.basis.T
-        proj = oracle.exact_projection(mp.constraints, W)
-        npt.assert_allclose(
-            kron_apply_block(mp.basis, mp.basis, mp.Q),
-            proj @ mp.pool.transpose_dense(),
-            atol=1e-8,
-        )
+        assert_blocks_match_oracle(mp)
+        assert held_blocks(mp) == [0, 1, 2, 3]
 
 
 class TestKronApplyBlock:
@@ -250,6 +261,7 @@ class TestUpdate:
         mp.update(EigenWeight(U, lam_new))
         assert not np.array_equal(mp.pool[0].to_dense(), r0)
         assert mp.cursor == 0
+        assert held_blocks(mp) == [0]  # lam_tilde == lam: the next query reads it
 
     def test_rank_is_kronecker_support_of_changed_eigenvalues(self):
         # changing |S| eigenvalues moves the Kronecker diagonal at the pairs
@@ -412,6 +424,21 @@ class TestQuery:
         want = proj @ (R.T @ (R @ h))
         assert np.linalg.norm(out - want) <= 1e-8 * np.linalg.norm(want)
 
+    def test_block_query_past_cursor_zero_matches_oracle(self):
+        # a no-drift update keeps lam_tilde == lam, so the query at cursor 1
+        # reads block 1, computed on demand
+        mp, cons, U, rng = make_state(4, 6, seed=56)
+        mp.query(rng.standard_normal(16))
+        lt = mp.update(EigenWeight(U, mp.lam.copy()))
+        npt.assert_array_equal(lt, mp.lam)
+        assert mp.cursor == 1 and held_blocks(mp) == [0]
+        h = rng.standard_normal(16)
+        R = mp.pool[1].to_dense()
+        out = mp.query(h)
+        assert held_blocks(mp) == [0, 1]
+        want = oracle.exact_projection(cons, (U * lt) @ U.T) @ (R.T @ (R @ h))
+        assert np.linalg.norm(out - want) <= 1e-7 * np.linalg.norm(want)
+
     def test_cursor_advances_and_pool_rolls(self):
         mp, _, _, rng = make_state(3, 4, seed=20, s=2, b=8)
         r0 = mp.pool[0].to_dense()
@@ -419,8 +446,8 @@ class TestQuery:
         mp.query(h)
         assert mp.cursor == 1
         mp.query(h)
-        # pool exhausted: regenerated eagerly, cursor reset
-        assert mp.cursor == 0
+        # pool exhausted: regenerated eagerly, cursor reset, no block computed
+        assert mp.cursor == 0 and held_blocks(mp) == []
         assert not np.array_equal(mp.pool[0].to_dense(), r0)
 
     def test_sketch_freshness_within_pool(self):
@@ -552,6 +579,19 @@ class TestSnapshot:
             h = rng.standard_normal(4)
             npt.assert_array_equal(clone.query(h), mp.query(h))
 
+    def test_resume_past_cursor_zero_is_bit_identical(self):
+        # block 1 is computed after the snapshot by both the donor and the
+        # resumed instance; no-drift updates keep every query on the block path
+        mp, _, U, rng = make_state(4, 5, seed=32, s=3)
+        mp.query(rng.standard_normal(16))
+        clone = MaintainedProjection.from_snapshot(json.loads(json.dumps(mp.snapshot())))
+        assert clone.cursor == mp.cursor == 1 and held_blocks(clone) == []
+        for _ in range(5):
+            w = EigenWeight(U, mp.lam.copy())
+            npt.assert_array_equal(clone.update(w), mp.update(w))
+            h = rng.standard_normal(16)
+            npt.assert_array_equal(clone.query(h), mp.query(h))
+
     def test_snapshot_is_json_serializable(self):
         mp, _, _, _ = make_state(3, 4, seed=28)
         blob = json.dumps(mp.snapshot())
@@ -573,12 +613,18 @@ class TestSnapshot:
             ("eps_mp", lambda snap: -1.0),
             ("a_exp", lambda snap: 3.0),
             ("m", lambda snap: snap["m"] - 1),
+            ("n", lambda snap: float(snap["n"])),
+            ("s", lambda snap: 1.5),
+            ("b", lambda snap: 2.5),
+            ("regen_count", lambda snap: -5),
+            ("cursor", lambda snap: 1.0),
         ],
         ids=[
             "cursor_past_pool", "negative_cursor", "scaled_basis", "negative_lam",
             "lam_below_floor", "zero_floor", "nan_lam_tilde", "zero_lam_tilde",
             "short_last_external", "eps_mp_above_range", "negative_eps_mp",
-            "a_exp_above_one", "m_short_of_rows",
+            "a_exp_above_one", "m_short_of_rows", "float_n", "fractional_s",
+            "fractional_b", "negative_regen_count", "float_cursor",
         ],
     )
     def test_corrupt_state_rejected(self, key, corrupt):
