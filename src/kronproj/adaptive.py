@@ -75,20 +75,20 @@ def setquery_wrapper_params(T, k, u_bound, alpha, delta):
     return q, L, beta
 
 
-def norm_transcript_budget(L, q, T, delta0, eps_pm=EPS_PM):
+def norm_transcript_budget(L, q, T, delta0):
     """(epsilon, delta) of a T-step norm-mode transcript.
 
-    Chain: the private median is (eps_pm, 0)-DP, subsampling q of L copies
-    amplifies it to 6q/L * eps_pm per step, and advanced composition over
+    Chain: the private median is (EPS_PM, 0)-DP, subsampling q of L copies
+    amplifies it to 6q/L * EPS_PM per step, and advanced composition over
     the T steps (with budget delta0/400) gives the total.
     """
-    per_step = amplification(eps_pm, q, L)
+    per_step = amplification(EPS_PM, q, L)
     return advanced_composition(per_step, 0.0, T, delta0 / 400.0)
 
 
-def setquery_transcript_budget(L, q, T, k, beta, eps_pm=EPS_PM):
+def setquery_transcript_budget(L, q, T, k, beta):
     """(epsilon, delta) of a T-step set-query transcript over k coordinates."""
-    per_coord = amplification(eps_pm, q, L)
+    per_coord = amplification(EPS_PM, q, L)
     per_step = advanced_composition(per_coord, 0.0, k, beta / (800.0 * T))
     return advanced_composition(per_step.epsilon, per_step.delta, T, beta / 800.0)
 
@@ -104,7 +104,6 @@ class AdaptiveWrapper:
     q: int
     median_beta: float
     k: int = 1
-    eps_pm: float = EPS_PM
     params: dict = field(default_factory=dict)
     step: int = 0
     rng: np.random.Generator = None
@@ -239,7 +238,7 @@ def _private_step(wrapper, G_t, h_t, query, **info):
     u_bound = wrapper.grid.u_bound
     wrapper.counters["overflow_clamps"] += int(np.count_nonzero(np.abs(raw) > u_bound))
     rounded = round_to_grid(np.clip(raw, -u_bound, u_bound), wrapper.grid)
-    u = private_median(rounded, wrapper.grid, wrapper.eps_pm, wrapper.rng)
+    u = private_median(rounded, wrapper.grid, EPS_PM, wrapper.rng)
     rank_error = median_rank_error(rounded, u)
     if wrapper.mode == NORM_MODE:
         raw, rounded, u, rank_error = raw[:, 0], rounded[:, 0], u[0], rank_error[0]

@@ -155,11 +155,12 @@ def cmd_run_maint(args, cfg):
     _status("spectral approximation", ok,
             f"max |log ratio| {report.summary['max_lam_tilde_log_ratio']:.3e}")
     if check:
-        ok_m = report.summary["max_m_rel_err"] <= ORACLE_TOL
+        ok_c = report.summary["max_core_rel_err"] <= ORACLE_TOL
         ok_q = report.summary["max_query_rel_err"] <= ORACLE_TOL
-        _status("core matrix vs oracle", ok_m, f"max rel err {report.summary['max_m_rel_err']:.2e}")
+        _status("core projection vs oracle", ok_c,
+                f"max rel err {report.summary['max_core_rel_err']:.2e}")
         _status("query vs oracle", ok_q, f"max rel err {report.summary['max_query_rel_err']:.2e}")
-        ok = ok and ok_m and ok_q
+        ok = ok and ok_c and ok_q
     print(f"timings: {report.timings}", file=sys.stderr)
     return 0 if ok else 2
 
@@ -285,8 +286,8 @@ def _adaptive_common(args, cfg, mode):
     payload = {
         "mode": mode, "adversary": adversary, "runs": runs,
         "ok_fraction": frac, "threshold": threshold,
-        "params": reports[0].config if reports else {},
-        "budget": reports[0].summary.get("transcript_budget") if reports else None,
+        "params": reports[0].config,
+        "budget": reports[0].summary["transcript_budget"],
     }
     _emit(args, payload)
     ok = frac >= threshold

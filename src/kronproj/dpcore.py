@@ -67,13 +67,6 @@ class SignedGeometricGrid:
     def __len__(self):
         return self.points.size
 
-    def index_of(self, v):
-        """Index of an exact grid point; raises if v is off the grid."""
-        i = int(np.searchsorted(self.points, v))
-        if i >= self.points.size or self.points[i] != v:
-            raise GridDomainError(f"{v!r} is not a grid point")
-        return i
-
     def contains(self, v):
         i = int(np.searchsorted(self.points, v))
         return i < self.points.size and self.points[i] == v

@@ -214,12 +214,6 @@ class MaintainedProjection:
         kronlinalg._guard(scipy.linalg.lapack.dtrcon(R)[0], CONDITION_BOUND, "core QR")
         return Y
 
-    @property
-    def M(self):
-        """The core G^T (G (L (x) L) G^T)^{-1} G at lam, derived from Y (n^2 x n^2)."""
-        khalf = kron_diag(np.sqrt(self.lam), np.sqrt(self.lam))
-        return (self.Y @ self.Y.T) / np.outer(khalf, khalf)
-
     def _pool_seed(self):
         ss = np.random.SeedSequence(
             entropy=self._root_seed & (2**64 - 1), spawn_key=(self._regen_count,)
@@ -418,7 +412,7 @@ class MaintainedProjection:
         obj.family = SketchFamily(snap["family"]["tag"], snap["family"]["sparsity"])
         obj.s = _snapshot_int(snap, "s", 1)
         obj.b = _snapshot_int(snap, "b", 1)
-        obj._root_seed = snap["root_seed"]
+        obj._root_seed = _snapshot_int(snap, "root_seed", -math.inf)
         obj._regen_count = _snapshot_int(snap, "regen_count", 0)
         cursor = _snapshot_int(snap, "cursor", 0, obj.s)
         ew = EigenWeight(snap["basis"], snap["lam"])  # orthonormal, nonnegative

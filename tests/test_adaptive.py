@@ -219,7 +219,7 @@ def _loop_step(w, query, **info):
                 w.counters["overflow_clamps"] += 1
                 f = math.copysign(w.grid.u_bound, f)
             col.append(ad.round_to_grid(f, w.grid))
-        u.append(ad.private_median(col, w.grid, w.eps_pm, w.rng))
+        u.append(ad.private_median(col, w.grid, ad.EPS_PM, w.rng))
         errs.append(float(ad.median_rank_error(col, u[-1])))
         rounded_cols.append(col)
     rounded = [list(row) for row in zip(*rounded_cols)]
@@ -289,14 +289,14 @@ class TestNormAccuracy:
                     failures += 1
         assert failures == 0
 
-    def test_private_median_tracks_values_when_sharp(self):
+    def test_private_median_tracks_values_when_sharp(self, monkeypatch):
         # with a large subsample and the budget concentrated, the output
         # lands within one grid step of the common estimate
+        monkeypatch.setattr(ad, "EPS_PM", 1.0)
         w = ad.make_norm_wrapper(
             lambda s: ad.ExactNormEstimator(s, u_bound=16.0),
             5, 16.0, 0.25, 0.1, seed=3, q_override=400, L_override=900,
         )
-        w.eps_pm = 1.0
         G = np.eye(4) * 1.3
         h = np.ones(4) / 2.0
         truth = oracle.exact_norm(G, h)

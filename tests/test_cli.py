@@ -71,7 +71,7 @@ class TestRunMaint:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 6  # header + 5 records
-        assert "m_rel_err" in lines[0]
+        assert "core_rel_err" in lines[0]
 
 
 class TestCEBench:
@@ -115,6 +115,13 @@ class TestAdaptiveSim:
         code = run_cli(["setquery-sim", "--config", str(cfg), "--seed", "7",
                         "--out", str(tmp_path / "sq.json")])
         assert code == 0
+
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_battery_without_runs_exits_one(self, tmp_path, capsys, runs):
+        cfg = write_cfg(tmp_path, {"runs": runs})
+        code = run_cli(["adaptive-sim", "--config", str(cfg)])
+        assert code == 1
+        assert f"error: an adaptive battery needs runs >= 1, got {runs}" in capsys.readouterr().err
 
     def test_battery_rejects_csv(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"runs": 1, "T": 2, "n": 8, "L": 6, "q": 3})

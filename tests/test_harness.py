@@ -5,8 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kronproj import harness
+from kronproj import cli, harness
 from kronproj.errors import ParameterError
+from kronproj.projmaint import MaintainedProjection
 
 
 class TestDriftSequence:
@@ -62,7 +63,7 @@ class TestMaintenanceExperiment:
 
     def test_oracle_checked_run(self):
         rep = harness.run_maintenance_experiment(dict(n=6, m=8, T=40, C1=0.3, C2=0.02, seed=6))
-        assert rep.summary["max_m_rel_err"] <= 1e-7
+        assert rep.summary["max_core_rel_err"] <= 1e-7
         assert rep.summary["max_query_rel_err"] <= 1e-7
         assert rep.summary["max_lam_tilde_log_ratio"] <= 0.025 + 1e-12
         assert len(rep.records) == 40
@@ -79,6 +80,21 @@ class TestMaintenanceExperiment:
         rep = harness.run_maintenance_experiment(params)
         non_lazy = sum(r > 0 for r in rep.counters["woodbury_ranks"])
         assert non_lazy < 100 / 10
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_core_check_fails_a_perturbed_core(self, monkeypatch, n):
+        # a core built at lam with one coordinate off by a relative 1e-6
+        # must fail the oracle check it is held to
+        core_basis = MaintainedProjection._core_basis
+
+        def perturbed(mp, lam):
+            lam = np.array(lam, dtype=float)
+            lam[0] *= 1.0 + 1e-6
+            return core_basis(mp, lam)
+
+        monkeypatch.setattr(MaintainedProjection, "_core_basis", perturbed)
+        rep = harness.run_maintenance_experiment(dict(n=n, T=10, seed=6))
+        assert rep.summary["max_core_rel_err"] > cli.ORACLE_TOL
 
     def test_report_bytes_deterministic(self):
         params = dict(n=4, m=5, T=10, C1=0.2, seed=9)
