@@ -98,17 +98,25 @@ def kron_identity_errors(rng, reps):
 
 
 def woodbury_error(rng, reps):
-    """Worst relative error of ``woodbury_update`` against the direct inverse."""
+    """Worst relative error of ``woodbury_correction`` in the query's form.
+
+    Each instance drifts k of n eigenvalues lam and, for an orthonormal Y
+    (n^2 x m), the drift's Kronecker support S and C = ratio[S] - 1, applies
+    (I + Y_S^T C Y_S)^{-1} by one Woodbury step and by a direct solve."""
     worst = 0.0
     for _ in range(int(reps)):
-        n = int(rng.integers(3, 11))
-        k = int(rng.integers(1, 6))
-        A = rng.standard_normal((n, n)) + n * np.eye(n)
-        U = rng.standard_normal((n, k))
-        Cm = rng.standard_normal((k, k)) + 2 * np.eye(k)
-        V = rng.standard_normal((k, n))
-        got = kronlinalg.woodbury_update(np.linalg.inv(A), U, Cm, V)
-        want = np.linalg.inv(A + U @ Cm @ V)
+        n = int(rng.integers(3, 9))
+        m = int(rng.integers(1, n * n))
+        Y = np.linalg.qr(rng.standard_normal((n * n, m)))[0]
+        lam = np.exp(rng.uniform(-1.0, 1.0, n))
+        k = int(rng.integers(1, n + 1))
+        lam_t = lam.copy()
+        lam_t[rng.choice(n, k, replace=False)] *= np.exp(rng.uniform(-1.0, 1.0, k))
+        ratio = kronlinalg.kron_diag(lam_t, lam_t) / kronlinalg.kron_diag(lam, lam)
+        S = np.flatnonzero(ratio != 1.0)
+        c, YS, r = ratio[S] - 1.0, Y[S], rng.standard_normal(m)
+        got = r - kronlinalg.woodbury_correction(YS.T, c, YS @ YS.T, YS @ r)
+        want = np.linalg.solve(np.eye(m) + YS.T @ (c[:, None] * YS), r)
         worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     return worst
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import adaptive, oracle
 from .errors import ParameterError
-from .kronlinalg import EigenWeight
-from .projmaint import ConstraintBatch, MaintainedProjection, kron_apply_block
+from .kronlinalg import EigenWeight, kron_apply_block
+from .projmaint import ConstraintBatch, MaintainedProjection
 from .sketch import SketchFamily
 
 SPARSE_K = "sparse-k"

@@ -59,6 +59,20 @@ def kron_apply(A, B, x):
     return (B @ X @ A.T).ravel(order="F")
 
 
+def kron_apply_block(A, B, X):
+    """Apply (A (x) B) to every column of X, as :func:`kron_apply` does to one."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    X = np.asarray(X, dtype=float)
+    na, nb = A.shape[1], B.shape[1]
+    if X.shape[0] != na * nb:
+        raise DimensionError(f"kron_apply_block: X has {X.shape[0]} rows, need {na * nb}")
+    k = X.shape[1]
+    T = np.tensordot(B, X.reshape(nb, na, k, order="F"), axes=([1], [0]))
+    Y = np.tensordot(A, T, axes=([1], [1]))
+    return Y.transpose(1, 0, 2).reshape(B.shape[0] * A.shape[0], k, order="F")
+
+
 def kron_diag(a, b):
     """Diagonal of diag(a) (x) diag(b) as a flat vector.
 
@@ -126,26 +140,26 @@ def sym_eigen(W):
     return EigenWeight(basis=U[:, order], eigvals=lam[order])
 
 
-def _guard(rcond, cond_bound, what):
+def _guard(rcond, what):
     """The condition guard shared by every solve in the package.
 
     ``rcond`` is LAPACK's reciprocal condition estimate (1-norm) read from
-    the factorization the solve already made; a NaN, zero or too small
-    estimate raises :class:`IllConditionedError`.
+    the factorization the solve already made; a NaN, zero or estimate below
+    1 / :data:`CONDITION_BOUND` raises :class:`IllConditionedError`.
     """
-    if not rcond * cond_bound >= 1.0:
+    if not rcond * CONDITION_BOUND >= 1.0:
         raise IllConditionedError(
             f"{what}: reciprocal condition estimate {rcond:.2e} is below "
-            f"1/{cond_bound:.0e}"
+            f"1/{CONDITION_BOUND:.0e}"
         )
 
 
-def solve_spd(A, B, cond_bound=CONDITION_BOUND):
+def solve_spd(A, B):
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
     Raises :class:`NotPSDError` if the factorization fails and
     :class:`IllConditionedError` if the ``pocon`` condition estimate exceeds
-    ``cond_bound``; both are signals to recompute upstream state.
+    :data:`CONDITION_BOUND`; both are signals to recompute upstream state.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -159,65 +173,49 @@ def solve_spd(A, B, cond_bound=CONDITION_BOUND):
     except scipy.linalg.LinAlgError as exc:
         raise NotPSDError(f"solve_spd: Cholesky failed ({exc})") from exc
     rcond, _ = scipy.linalg.lapack.dpocon(c, np.linalg.norm(A, 1), uplo="L")
-    _guard(rcond, cond_bound, "solve_spd")
+    _guard(rcond, "solve_spd")
     return scipy.linalg.cho_solve((c, low), B, check_finite=False)
 
 
-def _lu_guarded(A, cond_bound, what, anorm=None):
-    """LU factors (getrf) of a square A that passed the ``gecon`` guard.
-
-    ``anorm`` defaults to the 1-norm of A; a larger value measures
-    ||A^{-1}|| against the size of the terms A was summed from.
-    """
-    lu, piv, info = scipy.linalg.lapack.dgetrf(A)
-    anorm = np.linalg.norm(A, 1) if anorm is None else anorm
-    # info > 0: an exactly zero pivot, so A is singular
-    rcond = scipy.linalg.lapack.dgecon(lu, anorm)[0] if info == 0 else 0.0
-    _guard(rcond, cond_bound, what)
-    return lu, piv
-
-
-def woodbury_correction(AiU, C, VAiU, R, cond_bound=CONDITION_BOUND):
-    """The Woodbury correction term A^{-1}U C (I + V A^{-1}U C)^{-1} R.
+def woodbury_correction(AiU, c, VAiU, R):
+    """The Woodbury correction term A^{-1}U C (I + V A^{-1}U C)^{-1} R, C = diag(c).
 
     With R = V A^{-1} this is what (A + U C V)^{-1} subtracts from A^{-1};
-    with R = V A^{-1} x it is the correction applied to A^{-1} x.  ``C`` is
-    k x k, or its diagonal as a length-k vector.  C is never inverted, so
-    tiny or zero entries are fine; the inner matrix I + V A^{-1}U C goes
-    through the condition guard and raises :class:`IllConditionedError`.
+    with R = V A^{-1} x it is the correction applied to A^{-1} x.  C is never
+    inverted, so tiny or zero entries of ``c`` are fine; the inner matrix
+    I + V A^{-1}U C goes through the condition guard and raises
+    :class:`IllConditionedError`.
     """
-    C = np.asarray(C, dtype=float)
-    VAiUC = VAiU * C[None, :] if C.ndim == 1 else VAiU @ C
+    c = np.asarray(c, dtype=float)
+    VAiUC = VAiU * c[None, :]
+    lu, piv, info = scipy.linalg.lapack.dgetrf(np.eye(c.shape[0]) + VAiUC)
     # guard against 1 + ||V A^{-1}U C||, not ||I + V A^{-1}U C||: when the sum
-    # cancels, roundoff in it dominates and only this scale shows it
-    lu, piv = _lu_guarded(
-        np.eye(VAiUC.shape[0]) + VAiUC, cond_bound, "woodbury inner matrix",
-        1.0 + np.linalg.norm(VAiUC, 1),
-    )
+    # cancels, roundoff in it dominates and only this scale shows it;
+    # info > 0 is an exactly zero pivot, so the inner matrix is singular
+    anorm = 1.0 + np.linalg.norm(VAiUC, 1)
+    _guard(scipy.linalg.lapack.dgecon(lu, anorm)[0] if info == 0 else 0.0,
+           "woodbury inner matrix")
     Y = scipy.linalg.lapack.dgetrs(lu, piv, np.asarray(R, dtype=float))[0]
-    CY = (C * Y.T).T if C.ndim == 1 else C @ Y
-    return AiU @ CY
+    return AiU @ (c * Y.T).T
 
 
-def woodbury_update(A_inv, Umat, C, V, cond_bound=CONDITION_BOUND):
+def woodbury_update(A_inv, Umat, C, V):
     """Low-rank inverse update (A + U C V)^{-1} from A^{-1}.
 
-    Evaluates A^{-1} - :func:`woodbury_correction`.  Both C and the inner
-    matrix must be invertible within the condition guard; violations raise
-    :class:`IllConditionedError` so callers can fall back to a full
+    Evaluates A^{-1} - :func:`woodbury_correction` with U C in place of U and
+    a unit diagonal, so C need not be invertible; a singular inner matrix
+    raises :class:`IllConditionedError` so callers can fall back to a full
     recompute.
     """
     A_inv = np.asarray(A_inv, dtype=float)
     Umat = np.atleast_2d(np.asarray(Umat, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    n = A_inv.shape[0]
-    k = C.shape[0]
+    n, k = A_inv.shape[0], C.shape[0]
     if Umat.shape != (n, k) or C.shape != (k, k) or V.shape != (k, n):
         raise DimensionError(
             f"woodbury_update: A_inv {A_inv.shape}, U {Umat.shape}, "
             f"C {C.shape}, V {V.shape} do not conform"
         )
-    _lu_guarded(C, cond_bound, "woodbury_update: C")
-    AiU = A_inv @ Umat
-    return A_inv - woodbury_correction(AiU, C, V @ AiU, V @ A_inv, cond_bound)
+    AiUC = A_inv @ (Umat @ C)
+    return A_inv - woodbury_correction(AiUC, np.ones(k), V @ AiUC, V @ A_inv)

@@ -33,9 +33,7 @@ def exact_projection(constraints, W, variant=SYMMETRIC):
         raise DimensionError(f"constraints {A.shape} incompatible with W {W.shape}")
     if variant == SYMMETRIC:
         ew = kronlinalg.sym_eigen(W)
-        kronlinalg._guard(
-            ew.eigvals[-1] / ew.eigvals[0], kronlinalg.CONDITION_BOUND, "exact_projection: W"
-        )
+        kronlinalg._guard(ew.eigvals[-1] / ew.eigvals[0], "exact_projection: W")
         Whalf = (ew.basis * np.sqrt(ew.eigvals)) @ ew.basis.T
         K = np.kron(Whalf, Whalf)
     elif variant == LEFT:
@@ -43,8 +41,7 @@ def exact_projection(constraints, W, variant=SYMMETRIC):
     else:
         raise ParameterError(f"unknown variant {variant!r}")
     Q, R = scipy.linalg.qr((A @ K).T, mode="economic")
-    rcond = scipy.linalg.lapack.dtrcon(R)[0]
-    kronlinalg._guard(rcond, kronlinalg.CONDITION_BOUND, "exact_projection: R")
+    kronlinalg._guard(scipy.linalg.lapack.dtrcon(R)[0], "exact_projection: R")
     return Q @ Q.T
 
 

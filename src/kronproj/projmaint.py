@@ -30,12 +30,7 @@ from .errors import (
     ParameterError,
     RankDeficiencyError,
 )
-from .kronlinalg import (
-    CONDITION_BOUND,
-    EigenWeight,
-    kron_apply,
-    kron_diag,
-)
+from .kronlinalg import EigenWeight, kron_apply, kron_apply_block, kron_diag
 from .sketch import SketchBatch, SketchFamily
 
 SNAPSHOT_VERSION = 1
@@ -115,37 +110,23 @@ def _checked_settings(eps_mp, a_exp):
     return eps_mp, a_exp
 
 
-def _snapshot_int(snap, key, lo, hi=math.inf):
-    """``snap[key]`` as an int in [lo, hi), or a ParameterError naming it."""
-    v = snap[key]
+def _checked_int(v, name, lo, hi=math.inf):
+    """``v`` as an int in [lo, hi), or a ParameterError naming it."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v < hi:
-        raise ParameterError(f"snapshot: {key} = {v!r} is not an integer in [{lo}, {hi})")
+        raise ParameterError(f"{name} = {v!r} is not an integer in [{lo}, {hi})")
     return int(v)
-
-
-def kron_apply_block(A, B, X):
-    """Apply (A (x) B) to every column of X without materializing it."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    X = np.asarray(X, dtype=float)
-    na, nb = A.shape[1], B.shape[1]
-    if X.shape[0] != na * nb:
-        raise DimensionError(f"kron_apply_block: X has {X.shape[0]} rows, need {na * nb}")
-    k = X.shape[1]
-    X3 = X.reshape(nb, na, k, order="F")
-    T = np.tensordot(B, X3, axes=([1], [0]))
-    Y = np.tensordot(A, T, axes=([1], [1]))
-    return Y.transpose(1, 0, 2).reshape(B.shape[0] * A.shape[0], k, order="F")
 
 
 class MaintainedProjection:
     """Projection maintenance with lazy eigenvalue updates and sketched queries.
 
-    Parameters follow the initialization contract: ``eps_mp`` in (0, 0.1)
-    controls the spectral approximation, ``a_exp`` in (0, 1) sets the lazy
-    threshold n^a_exp on the number of drifted eigenvalues, and the pool
-    holds ``s`` sketches of dimension ``b`` that are regenerated with fresh
-    seeds on every non-lazy update, which also recomputes Y, and on exhaustion.
+    ``W`` is the initial weight as an :class:`EigenWeight`, whose basis every
+    update shares.  The other parameters follow the initialization contract:
+    ``eps_mp`` in (0, 0.1) controls the spectral approximation, ``a_exp`` in
+    (0, 1) sets the lazy threshold n^a_exp on the number of drifted
+    eigenvalues, and the pool holds ``s`` sketches of dimension ``b`` that
+    are regenerated with fresh seeds on every non-lazy update, which also
+    recomputes Y, and on exhaustion.
     """
 
     def __init__(
@@ -166,18 +147,16 @@ class MaintainedProjection:
         self.n = constraints.n
         self.m = constraints.m
         self.family = family
-        self.s = int(s)
-        self.b = int(b)
-        self._root_seed = int(seed)
+        self.s = _checked_int(s, "s", 1)
+        self.b = _checked_int(b, "b", 1)
+        self._root_seed = _checked_int(seed, "seed", -math.inf)
         self._regen_count = 0
 
-        if isinstance(W, EigenWeight):
-            ew = W  # caller controls the shared eigenbasis exactly
-        else:
-            ew = kronlinalg.sym_eigen(np.asarray(W, dtype=float))
-        self.basis = ew.basis
-        self.eig_floor = 1e-12 * max(float(np.max(ew.eigvals, initial=0.0)), 1.0)
-        self.lam = np.maximum(ew.eigvals, self.eig_floor)
+        if not isinstance(W, EigenWeight):
+            raise ParameterError("MaintainedProjection expects an EigenWeight")
+        self.basis = W.basis
+        self.eig_floor = 1e-12 * max(float(np.max(W.eigvals, initial=0.0)), 1.0)
+        self.lam = np.maximum(W.eigvals, self.eig_floor)
         self.lam_tilde = self.lam.copy()
         self._last_external = self.lam.copy()
 
@@ -211,7 +190,7 @@ class MaintainedProjection:
         Y, R = scipy.linalg.qr(
             khalf[:, None] * self.G.T, overwrite_a=True, mode="economic", check_finite=False
         )
-        kronlinalg._guard(scipy.linalg.lapack.dtrcon(R)[0], CONDITION_BOUND, "core QR")
+        kronlinalg._guard(scipy.linalg.lapack.dtrcon(R)[0], "core QR")
         return Y
 
     def _pool_seed(self):
@@ -317,9 +296,7 @@ class MaintainedProjection:
         if S.size:  # LAPACK rejects the 0 x 0 inner matrix of an empty S
             YS = self.Y[S]
             try:
-                r = r - kronlinalg.woodbury_correction(
-                    YS.T, ratio[S] - 1.0, YS @ YS.T, YS @ r, CONDITION_BOUND
-                )
+                r = r - kronlinalg.woodbury_correction(YS.T, ratio[S] - 1.0, YS @ YS.T, YS @ r)
             except IllConditionedError:
                 # recoverable: answer from a fresh basis at lam_tilde instead
                 self.counters["query_fallbacks"] += 1
@@ -397,35 +374,54 @@ class MaintainedProjection:
 
     @classmethod
     def from_snapshot(cls, snap):
-        """Resume from :meth:`snapshot` bit for bit; corrupt state raises a KronprojError."""
+        """Resume from :meth:`snapshot` bit for bit; a KronprojError names a corrupt field."""
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ParameterError(f"unsupported snapshot version {snap.get('version')}")
         obj = cls.__new__(cls)
-        obj.n = _snapshot_int(snap, "n", 1)
-        obj.constraints = ConstraintBatch(
-            matrix=np.asarray(snap["constraints"], dtype=float), n=obj.n
+
+        def field(key, read=lambda v: v):
+            if key not in snap:
+                raise ParameterError(f"snapshot: {key} is missing")
+            try:
+                return read(snap[key])
+            except (TypeError, ValueError, KeyError, IndexError) as exc:
+                raise ParameterError(f"snapshot: {key} is unreadable ({exc!r})") from exc
+
+        def int_field(key, lo, hi=math.inf):
+            return field(key, lambda v: _checked_int(v, f"snapshot: {key}", lo, hi))
+
+        def read_counters(v):
+            totals = {k: _checked_int(v[k], f"snapshot: counters.{k}", 0)
+                      for k in ("updates", "queries", "full_recomputes", "query_fallbacks")}
+            return dict(v, **totals, woodbury_ranks=list(v["woodbury_ranks"]))
+
+        obj.n = int_field("n", 1)
+        obj.constraints = field(
+            "constraints", lambda v: ConstraintBatch(matrix=np.asarray(v, dtype=float), n=obj.n)
         )
         obj.m = obj.constraints.m
-        if snap["m"] != obj.m:
+        if field("m") != obj.m:
             raise ParameterError(f"snapshot: m = {snap['m']} for {obj.m} constraint rows")
-        obj.eps_mp, obj.a_exp = _checked_settings(snap["eps_mp"], snap["a_exp"])
-        obj.family = SketchFamily(snap["family"]["tag"], snap["family"]["sparsity"])
-        obj.s = _snapshot_int(snap, "s", 1)
-        obj.b = _snapshot_int(snap, "b", 1)
-        obj._root_seed = _snapshot_int(snap, "root_seed", -math.inf)
-        obj._regen_count = _snapshot_int(snap, "regen_count", 0)
-        cursor = _snapshot_int(snap, "cursor", 0, obj.s)
-        ew = EigenWeight(snap["basis"], snap["lam"])  # orthonormal, nonnegative
-        obj.basis, obj.lam, obj.eig_floor = ew.basis, ew.eigvals, float(snap["eig_floor"])
-        if not (0.0 < obj.eig_floor < np.inf and np.all(obj.lam >= obj.eig_floor)):
+        obj.eps_mp, obj.a_exp = _checked_settings(field("eps_mp", float), field("a_exp", float))
+        obj.family = field("family", lambda v: SketchFamily(
+            v["tag"], _checked_int(v["sparsity"], "snapshot: family.sparsity", 1)))
+        obj.s = int_field("s", 1)
+        obj.b = int_field("b", 1)
+        obj._root_seed = int_field("root_seed", -math.inf)
+        obj._regen_count = int_field("regen_count", 0)
+        cursor = int_field("cursor", 0, obj.s)
+        lam = field("lam", lambda v: np.asarray(v, dtype=float))
+        eig_floor = field("eig_floor", float)
+        if not (0.0 < eig_floor < np.inf and np.all(lam >= eig_floor)):
             raise ParameterError("snapshot: lam must be at least eig_floor > 0")
-        obj.lam_tilde = np.asarray(snap["lam_tilde"], dtype=float)
-        obj._last_external = np.asarray(snap["last_external"], dtype=float)
+        ew = field("basis", lambda v: EigenWeight(v, lam))  # orthonormal
+        obj.basis, obj.lam, obj.eig_floor = ew.basis, ew.eigvals, eig_floor
+        obj.lam_tilde = field("lam_tilde", lambda v: np.asarray(v, dtype=float))
+        obj._last_external = field("last_external", lambda v: np.asarray(v, dtype=float))
         for name, x in (("lam_tilde", obj.lam_tilde), ("last_external", obj._last_external)):
             if x.shape != (obj.n,) or not np.all(np.isfinite(x) & (x > 0)):
                 raise ParameterError(f"snapshot: {name} must be {obj.n} finite positive values")
-        obj.counters = dict(snap["counters"])
-        obj.counters["woodbury_ranks"] = list(obj.counters["woodbury_ranks"])
+        obj.counters = field("counters", read_counters)
         obj._build()
         obj.cursor = cursor
         return obj

@@ -1,8 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from kronproj import cli, kronlinalg
+
+
+def wrong_axis_correction(AiU, c, VAiU, R):
+    """The Woodbury kernel with the rows of V A^{-1}U scaled by c, not its columns."""
+    Y = np.linalg.solve(np.eye(len(c)) + VAiU * c[:, None], R)
+    return AiU @ (c * Y.T).T
 
 
 def run_cli(args):
@@ -19,10 +26,11 @@ class TestVerifyOracle:
         assert payload["ok"] is True
 
 
-    def test_violated_threshold_exits_two(self, tmp_path, capsys, monkeypatch):
-        exact = kronlinalg.woodbury_update
-        monkeypatch.setattr(kronlinalg, "woodbury_update",
-                            lambda *a, **kw: exact(*a, **kw) + 1e-6)
+    @pytest.mark.parametrize("mutant", ["offset", "wrong_axis"])
+    def test_violated_threshold_exits_two(self, tmp_path, capsys, monkeypatch, mutant):
+        exact = kronlinalg.woodbury_correction
+        kernels = {"offset": lambda *a: exact(*a) + 1e-6, "wrong_axis": wrong_axis_correction}
+        monkeypatch.setattr(kronlinalg, "woodbury_correction", kernels[mutant])
         code = run_cli(["verify-oracle", "--seed", "3", "--out", str(tmp_path / "o.json"),
                         "--config", str(write_cfg(tmp_path, {"reps": 25}))])
         assert code == 2

@@ -49,6 +49,15 @@ class TestKronApply:
             kl.kron_apply(np.eye(2), np.eye(2), np.ones(5))
 
 
+class TestKronApplyBlock:
+    def test_matches_materialized(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((3, 3))
+        B = rng.standard_normal((3, 3))
+        X = rng.standard_normal((9, 4))
+        npt.assert_allclose(kl.kron_apply_block(A, B, X), np.kron(A, B) @ X, atol=1e-12)
+
+
 class TestKronIdentities:
     def test_mixed_product(self):
         rng = rng_for(2)
@@ -186,11 +195,13 @@ class TestWoodbury:
         )
         npt.assert_allclose(got, np.diag([0.5, 1.0]), atol=1e-14)
 
-    def test_singular_c_rejected(self):
-        with pytest.raises(IllConditionedError):
-            kl.woodbury_update(
-                np.eye(2), np.array([[1.0], [0.0]]), np.array([[0.0]]), np.array([[1.0, 0.0]])
-            )
+    def test_zero_c_returns_inverse(self):
+        # C is never inverted: (A + U 0 V)^{-1} is A^{-1} itself
+        A_inv = np.linalg.inv(np.array([[2.0, 1.0], [0.0, 4.0]]))
+        got = kl.woodbury_update(
+            A_inv, np.array([[1.0], [0.0]]), np.array([[0.0]]), np.array([[1.0, 0.0]])
+        )
+        npt.assert_array_equal(got, A_inv)
 
     def test_random_low_rank_matches_direct(self):
         rng = rng_for(10)
@@ -229,19 +240,18 @@ class TestWoodbury:
         d = np.array([2.0, 1e-20, 0.0, -3e-20])
         AiU = A_inv @ U
         x = rng.standard_normal(n)
-        for R in (V @ A_inv, V @ A_inv @ x):
-            got = kl.woodbury_correction(AiU, d, V @ AiU, R)
-            want = kl.woodbury_correction(AiU, np.diag(d), V @ AiU, R)
-            npt.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
         direct = np.linalg.inv(A + U @ np.diag(d) @ V)
-        npt.assert_allclose(A_inv @ x - got, direct @ x, rtol=1e-10)
+        got = A_inv - kl.woodbury_correction(AiU, d, V @ AiU, V @ A_inv)
+        npt.assert_allclose(got, direct, rtol=1e-10, atol=1e-13)
+        got_x = A_inv @ x - kl.woodbury_correction(AiU, d, V @ AiU, V @ A_inv @ x)
+        npt.assert_allclose(got_x, direct @ x, rtol=1e-10)
 
     def test_kernel_rejects_singular_inner(self):
-        # I + V A^{-1} U C for C = I: exactly singular, then nearly singular,
+        # I + V A^{-1} U C for c = 1: exactly singular, then nearly singular,
         # neither symmetric
         for VAiU in ([[-1.0, 2.0], [0.0, 0.0]], [[0.0, 2.0], [1.0, 1.0 + 1e-14]]):
             with pytest.raises(IllConditionedError):
-                kl.woodbury_correction(np.ones((3, 2)), np.eye(2), np.array(VAiU), np.ones((2, 3)))
+                kl.woodbury_correction(np.ones((3, 2)), np.ones(2), np.array(VAiU), np.ones((2, 3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -22,13 +22,8 @@ from kronproj.errors import (
     RankDeficiencyError,
 )
 from kronproj.harness import random_constraints, random_orthogonal
-from kronproj.kronlinalg import EigenWeight, vec
-from kronproj.projmaint import (
-    ConstraintBatch,
-    MaintainedProjection,
-    kron_apply_block,
-    soft_threshold,
-)
+from kronproj.kronlinalg import EigenWeight, kron_apply_block, vec
+from kronproj.projmaint import ConstraintBatch, MaintainedProjection, soft_threshold
 from kronproj.sketch import SketchFamily
 
 
@@ -140,7 +135,7 @@ class TestSoftThreshold:
 class TestInit:
     def test_single_identity_constraint(self):
         cons = ConstraintBatch(matrix=[vec(np.eye(2))], n=2)
-        mp = MaintainedProjection(cons, np.eye(2), s=2, b=4, seed=0)
+        mp = MaintainedProjection(cons, EigenWeight(np.eye(2), np.ones(2)), s=2, b=4, seed=0)
         want = np.outer(vec(np.eye(2)), vec(np.eye(2))) / 2.0
         npt.assert_allclose(oracle_projection_at_lam(mp), want, atol=1e-12)
         npt.assert_allclose(materialize_maintained_projection(mp), want, atol=1e-12)
@@ -150,7 +145,7 @@ class TestInit:
         n, m = 3, 4
         A = rng.standard_normal((m, n * n))
         cons = ConstraintBatch(matrix=A, n=n)
-        mp = MaintainedProjection(cons, np.eye(n), s=2, b=4, seed=1)
+        mp = MaintainedProjection(cons, EigenWeight(np.eye(n), np.ones(n)), s=2, b=4, seed=1)
         want = A.T @ np.linalg.solve(A @ A.T, A)
         # with W = I the weight cancels: the projection is the plain
         # row-space projection of the constraint matrix
@@ -176,21 +171,33 @@ class TestInit:
     def test_invalid_eps(self):
         cons = ConstraintBatch(matrix=[vec(np.eye(2))], n=2)
         with pytest.raises(ParameterError):
-            MaintainedProjection(cons, np.eye(2), eps_mp=0.5)
+            MaintainedProjection(cons, EigenWeight(np.eye(2), np.ones(2)), eps_mp=0.5)
+
+    def test_dense_weight_rejected(self):
+        cons = ConstraintBatch(matrix=[vec(np.eye(2))], n=2)
+        with pytest.raises(ParameterError, match="EigenWeight"):
+            MaintainedProjection(cons, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "setting", [{"s": 2.5}, {"b": 4.7}, {"seed": 1.5}, {"s": "3"}],
+        ids=["fractional_s", "fractional_b", "fractional_seed", "string_s"],
+    )
+    def test_non_integer_setting_rejected(self, setting):
+        cons = ConstraintBatch(matrix=[vec(np.eye(2))], n=2)
+        with pytest.raises(ParameterError, match=rf"^{next(iter(setting))} = "):
+            MaintainedProjection(cons, EigenWeight(np.eye(2), np.ones(2)), **setting)
+
+    def test_numpy_integer_settings_accepted(self):
+        cons = ConstraintBatch(matrix=[vec(np.eye(2))], n=2)
+        mp = MaintainedProjection(
+            cons, EigenWeight(np.eye(2), np.ones(2)), s=np.int64(2), b=np.int32(4), seed=-3
+        )
+        assert (type(mp.s), mp.s, type(mp.b), mp.b, mp._root_seed) == (int, 2, int, 4, -3)
 
     def test_qp_consistency_at_init(self):
         mp, _, _, _ = make_state(3, 4, seed=4)
         assert_blocks_match_oracle(mp)
         assert held_blocks(mp) == [0, 1, 2, 3]
-
-
-class TestKronApplyBlock:
-    def test_matches_materialized(self):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((3, 3))
-        B = rng.standard_normal((3, 3))
-        X = rng.standard_normal((9, 4))
-        npt.assert_allclose(kron_apply_block(A, B, X), np.kron(A, B) @ X, atol=1e-12)
 
 
 class TestUpdate:
@@ -532,6 +539,13 @@ class TestQueryExactish:
         npt.assert_allclose(mp.query_exactish(h), want, atol=1e-8)
 
 
+SNAPSHOT_KEYS = (
+    "version", "n", "m", "constraints", "basis", "lam", "lam_tilde", "last_external",
+    "eps_mp", "a_exp", "family", "s", "b", "root_seed", "regen_count", "cursor",
+    "eig_floor", "counters",
+)
+
+
 class TestSnapshot:
     def test_roundtrip_resumes_deterministically(self):
         mp, _, U, rng = make_state(4, 5, seed=27)
@@ -609,7 +623,7 @@ class TestSnapshot:
         # a seed of either sign is valid; the pool seed takes it modulo 2^64
         rng = np.random.default_rng(0)
         cons = ConstraintBatch(matrix=rng.standard_normal((4, 9)), n=3)
-        mp = MaintainedProjection(cons, np.eye(3), s=2, b=4, seed=-7)
+        mp = MaintainedProjection(cons, EigenWeight(np.eye(3), np.ones(3)), s=2, b=4, seed=-7)
         clone = MaintainedProjection.from_snapshot(json.loads(json.dumps(mp.snapshot())))
         h = rng.standard_normal(9)
         npt.assert_array_equal(clone.query(h), mp.query(h))
@@ -622,43 +636,58 @@ class TestSnapshot:
     @pytest.mark.parametrize(
         "key, corrupt",
         [
-            ("cursor", lambda snap: snap["s"]),
-            ("cursor", lambda snap: -1),
-            ("basis", lambda snap: (2.0 * np.asarray(snap["basis"])).tolist()),
-            ("lam", lambda snap: [-1.0] * snap["n"]),
-            ("lam", lambda snap: [0.5 * snap["eig_floor"]] * snap["n"]),
-            ("eig_floor", lambda snap: 0.0),
-            ("lam_tilde", lambda snap: [float("nan")] * snap["n"]),
-            ("lam_tilde", lambda snap: [0.0] * snap["n"]),
-            ("last_external", lambda snap: snap["last_external"][:-1]),
-            ("eps_mp", lambda snap: 0.5),
-            ("eps_mp", lambda snap: -1.0),
-            ("a_exp", lambda snap: 3.0),
-            ("m", lambda snap: snap["m"] - 1),
-            ("n", lambda snap: float(snap["n"])),
-            ("s", lambda snap: 1.5),
-            ("b", lambda snap: 2.5),
-            ("regen_count", lambda snap: -5),
-            ("cursor", lambda snap: 1.0),
-            ("root_seed", lambda snap: 1.5),
-            ("root_seed", lambda snap: "7"),
-            ("root_seed", lambda snap: None),
-        ],
-        ids=[
-            "cursor_past_pool", "negative_cursor", "scaled_basis", "negative_lam",
-            "lam_below_floor", "zero_floor", "nan_lam_tilde", "zero_lam_tilde",
-            "short_last_external", "eps_mp_above_range", "negative_eps_mp",
-            "a_exp_above_one", "m_short_of_rows", "float_n", "fractional_s",
-            "fractional_b", "negative_regen_count", "float_cursor",
-            "fractional_root_seed", "string_root_seed", "null_root_seed",
-        ],
+            pytest.param("cursor", lambda snap: snap["s"], id="cursor_past_pool"),
+            pytest.param("cursor", lambda snap: -1, id="negative_cursor"),
+            pytest.param(
+                "basis", lambda snap: (2.0 * np.asarray(snap["basis"])).tolist(), id="scaled_basis"
+            ),
+            pytest.param("lam", lambda snap: [-1.0] * snap["n"], id="negative_lam"),
+            pytest.param("lam", lambda snap: [0.5 * snap["eig_floor"]] * snap["n"],
+                         id="lam_below_floor"),
+            pytest.param("eig_floor", lambda snap: 0.0, id="zero_floor"),
+            pytest.param("lam_tilde", lambda snap: [float("nan")] * snap["n"], id="nan_lam_tilde"),
+            pytest.param("lam_tilde", lambda snap: [0.0] * snap["n"], id="zero_lam_tilde"),
+            pytest.param("last_external", lambda snap: snap["last_external"][:-1],
+                         id="short_last_external"),
+            pytest.param("eps_mp", lambda snap: 0.5, id="eps_mp_above_range"),
+            pytest.param("eps_mp", lambda snap: -1.0, id="negative_eps_mp"),
+            pytest.param("a_exp", lambda snap: 3.0, id="a_exp_above_one"),
+            pytest.param("m", lambda snap: snap["m"] - 1, id="m_short_of_rows"),
+            pytest.param("n", lambda snap: float(snap["n"]), id="float_n"),
+            pytest.param("s", lambda snap: 1.5, id="fractional_s"),
+            pytest.param("b", lambda snap: 2.5, id="fractional_b"),
+            pytest.param("regen_count", lambda snap: -5, id="negative_regen_count"),
+            pytest.param("cursor", lambda snap: 1.0, id="float_cursor"),
+            pytest.param("root_seed", lambda snap: 1.5, id="fractional_root_seed"),
+            pytest.param("root_seed", lambda snap: "7", id="string_root_seed"),
+            pytest.param("root_seed", lambda snap: None, id="null_root_seed"),
+            pytest.param("eig_floor", lambda snap: None, id="null_eig_floor"),
+            pytest.param("eig_floor", lambda snap: "x", id="string_eig_floor"),
+            pytest.param("eps_mp", lambda snap: None, id="null_eps_mp"),
+            pytest.param("eps_mp", lambda snap: "x", id="string_eps_mp"),
+            pytest.param("a_exp", lambda snap: None, id="null_a_exp"),
+            pytest.param("lam_tilde", lambda snap: "x", id="string_lam_tilde"),
+            pytest.param("counters", lambda snap: {}, id="empty_counters"),
+            pytest.param("basis", lambda snap: None, id="null_basis"),
+            pytest.param("constraints", lambda snap: None, id="null_constraints"),
+            pytest.param("family", lambda snap: dict(snap["family"], sparsity=None),
+                         id="null_family_sparsity"),
+        ]
+        + [pytest.param(key, None, id=f"missing_{key}") for key in SNAPSHOT_KEYS],
     )
     def test_corrupt_state_rejected(self, key, corrupt):
+        # corrupt None deletes the key; every refusal names the field, and
+        # all but a non-orthonormal basis (NotSymmetricError) are ParameterErrors
         mp, _, _, _ = make_state(3, 4, seed=30)
         snap = mp.snapshot()
-        snap[key] = corrupt(snap)
-        with pytest.raises(KronprojError):
+        assert set(snap) == set(SNAPSHOT_KEYS)
+        if corrupt is None:
+            del snap[key]
+        else:
+            snap[key] = corrupt(snap)
+        with pytest.raises(KronprojError, match=rf"\b{key}\b") as info:
             MaintainedProjection.from_snapshot(snap)
+        assert isinstance(info.value, ParameterError) or key == "basis"
 
     def test_snapshot_with_age_trigger_fields_loads(self):
         # snapshots written while the rebuild_every age trigger and the rank
