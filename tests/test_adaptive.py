@@ -9,7 +9,7 @@ from kronproj import adaptive as ad
 from kronproj import oracle
 from kronproj.dpcore import SignedGeometricGrid
 from kronproj.errors import DimensionError, ParameterError
-from kronproj.sketch import SketchFamily
+from kronproj.sketch import Sketch, SketchFamily, generate
 
 
 class StubEstimator:
@@ -379,6 +379,12 @@ def _scalar_clamp(v, u_bound):
     return float(np.clip(abs(v), 1.0 / u_bound, u_bound)) * (1.0 if v >= 0 else -1.0)
 
 
+ESTIMATOR_MAKERS = [
+    lambda: ad.ExactNormEstimator(0),
+    lambda: ad.sketched_norm_estimator(SketchFamily.gaussian(), 16, seed=1),
+]
+
+
 class TestEstimators:
     @pytest.mark.parametrize("u_bound", [None, 1.5, 4.0])
     def test_array_clamp_matches_scalar_clamp(self, u_bound):
@@ -399,8 +405,8 @@ class TestEstimators:
         rng = np.random.default_rng(6)
         G, h = 2.0 * rng.standard_normal((8, 8)), rng.standard_normal(8)
         est.update(G, h)
-        z = est._sketch.apply(h)
-        raw = (z @ est._sketch.apply(G.T)) ** 2
+        R = generate(SketchFamily.gaussian(), 16, 8, est.seed).to_dense()
+        raw = (G @ ((R.T @ R) @ h)) ** 2  # the estimator's own formula
         got = est.query_set(range(8))
         assert got.tobytes() == np.array([_scalar_clamp(v, 1.5) for v in raw]).tobytes()
         assert est.overflow_clamps == int(np.sum(raw > 1.5)) > 0
@@ -448,7 +454,47 @@ class TestEstimators:
         G = rng.standard_normal((8, 8))
         h = rng.standard_normal(8)
         est.update(G, h)
-        sk = est._sketch
+        sk = generate(fam, 64, 8, est.seed)
         z = sk.apply(h)
         want = [(sk.apply(G[j]) @ z) ** 2 for j in (1, 4)]
         npt.assert_allclose(est.query_set([1, 4]), want, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "fam, b, n",
+        [(fam, 64, 8) for fam in (SketchFamily.gaussian(), SketchFamily.ams(),
+                                  SketchFamily.countsketch(), SketchFamily.sparse_embedding(4))]
+        + [(SketchFamily.srht(), 8, 6)]  # SRHT samples at most the padded n rows
+        + [(fam, 32, 64) for fam in (SketchFamily.gaussian(), SketchFamily.srht(),
+                                     SketchFamily.ams(), SketchFamily.countsketch(),
+                                     SketchFamily.sparse_embedding(4))],
+        ids=lambda v: getattr(v, "tag", v),
+    )
+    def test_gram_form_matches_the_sketch(self, fam, b, n):
+        # the copy keeps only K = R^T R; its answers are the sketch's own
+        est = ad.sketched_norm_estimator(fam, b, seed=11)
+        rng = np.random.default_rng(12)
+        G, h = rng.standard_normal((n, n)), rng.standard_normal(n)
+        est.update(G, h)
+        sk = generate(fam, b, n, est.seed)
+        Rh = sk.apply(h)
+        npt.assert_allclose(est.query(), oracle.exact_norm(G, sk.apply_adjoint(Rh)), rtol=1e-12)
+        Q = [0, n // 2, n - 1]
+        want = [(sk.apply(G[j]) @ Rh) ** 2 for j in Q]
+        npt.assert_allclose(est.query_set(Q), want, rtol=1e-12)
+        assert not any(isinstance(v, Sketch) or np.shape(v) == (b, n) for v in vars(est).values())
+
+    @pytest.mark.parametrize("make", ESTIMATOR_MAKERS, ids=["exact", "sketched"])
+    def test_query_before_update_is_a_parameter_error(self, make):
+        est = make()
+        with pytest.raises(ParameterError, match="before any update"):
+            est.query()
+        with pytest.raises(ParameterError, match="before any update"):
+            est.query_set([0])
+
+    @pytest.mark.parametrize("make", ESTIMATOR_MAKERS, ids=["exact", "sketched"])
+    def test_mismatched_update_is_a_dimension_error(self, make):
+        est = make()
+        with pytest.raises(DimensionError, match=r"G \(3, 3\) incompatible with h \(4,\)"):
+            est.update(np.eye(3), np.ones(4))
+        with pytest.raises(ParameterError):  # the refused update left no state behind
+            est.query()

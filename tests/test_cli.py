@@ -25,6 +25,11 @@ class TestVerifyOracle:
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
 
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_nearly_singular_inverse_passes(self, seed):
+        # each seed draws an A+3I whose inverse's absolute roundoff tops 1e-11
+        errs = cli.kron_identity_errors(np.random.default_rng(seed), cli.ORACLE_REPS)
+        assert errs["inv"] <= cli.ROUNDOFF_TOL
 
     @pytest.mark.parametrize("mutant", ["offset", "wrong_axis"])
     def test_violated_threshold_exits_two(self, tmp_path, capsys, monkeypatch, mutant):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -688,6 +688,50 @@ class TestSnapshot:
         with pytest.raises(KronprojError, match=rf"\b{key}\b") as info:
             MaintainedProjection.from_snapshot(snap)
         assert isinstance(info.value, ParameterError) or key == "basis"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        path=st.sampled_from(
+            [(key,) for key in SNAPSHOT_KEYS]
+            + [("family", "tag"), ("family", "sparsity")]
+            + [("counters", key) for key in ("updates", "queries", "full_recomputes",
+                                              "query_fallbacks", "woodbury_ranks")]
+        ),
+        corruption=st.sampled_from(
+            ["valid", "delete", "none", "string", "nan", "negative", "fraction", "wrong_shape"]
+        ),
+        seed=st.integers(0, 3),
+    )
+    def test_fuzzed_snapshot_refuses_or_loads_a_sound_instance(self, path, corruption, seed):
+        mp, _, U, rng = make_state(3, 4, seed=40 + seed)
+        mp.update(EigenWeight(U, mp.lam * np.exp([0.3, 0.0, 0.0])))
+        snap = json.loads(json.dumps(mp.snapshot()))
+        *parents, key = path
+        holder = snap
+        for p in parents:
+            holder = holder[p]
+        value = holder[key]
+        if corruption == "delete":
+            del holder[key]
+        elif corruption != "valid":
+            holder[key] = {
+                "none": None, "string": "x", "nan": float("nan"), "negative": -3,
+                "fraction": 0.5,
+                "wrong_shape": value[:-1] if isinstance(value, list) and value else [value] * 2,
+            }[corruption]
+        try:
+            clone = MaintainedProjection.from_snapshot(snap)
+        except KronprojError:
+            assert corruption != "valid"
+            return
+        clone.check_invariants()
+        h = rng.standard_normal(9)
+        if corruption == "valid":
+            for _ in range(4):  # across a pool rollover
+                npt.assert_array_equal(clone.query(h), mp.query(h))
+        W = (clone.basis * clone.lam_tilde) @ clone.basis.T
+        want = oracle.exact_projection(clone.constraints, W) @ h
+        assert np.linalg.norm(clone.query_exactish(h) - want) <= 1e-7 * np.linalg.norm(want)
 
     def test_snapshot_with_age_trigger_fields_loads(self):
         # snapshots written while the rebuild_every age trigger and the rank
