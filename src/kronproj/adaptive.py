@@ -108,7 +108,11 @@ class AdaptiveWrapper:
     step: int = 0
     rng: np.random.Generator = None
     counters: dict = field(
-        default_factory=lambda: dict.fromkeys(("copy_updates", "inner_queries", "overflow_clamps"), 0)
+        default_factory=lambda: {
+            "copy_updates": 0,
+            "inner_queries": 0,
+            "overflow_clamps": 0,
+        }
     )
     last_step_info: dict = field(default_factory=dict)
 
@@ -119,7 +123,9 @@ class AdaptiveWrapper:
     def transcript_budget(self):
         if self.mode == NORM_MODE:
             return norm_transcript_budget(self.L, self.q, self.T, self.median_beta)
-        return setquery_transcript_budget(self.L, self.q, self.T, self.k, self.median_beta)
+        return setquery_transcript_budget(
+            self.L, self.q, self.T, self.k, self.median_beta
+        )
 
 
 def _spawn_copies(factory, L, seed):
@@ -166,7 +172,14 @@ def _build_wrapper(mode, factory, seed, formula, overrides, beta_key, beta, **he
 
 
 def make_norm_wrapper(
-    factory, T, u_bound, alpha, delta, seed=0, q_override=None, L_override=None
+    factory,
+    T,
+    u_bound,
+    alpha,
+    delta,
+    seed=0,
+    q_override=None,
+    L_override=None,
 ):
     """Wrap an oblivious norm estimator for adaptive queries.
 
@@ -181,7 +194,15 @@ def make_norm_wrapper(
 
 
 def make_setquery_wrapper(
-    factory, T, k, u_bound, alpha, delta, seed=0, q_override=None, L_override=None
+    factory,
+    T,
+    k,
+    u_bound,
+    alpha,
+    delta,
+    seed=0,
+    q_override=None,
+    L_override=None,
 ):
     """Wrap an oblivious set-query estimator for adaptive queries."""
     q_raw, L_raw, beta = setquery_wrapper_params(T, k, u_bound, alpha, delta)
@@ -276,14 +297,6 @@ def _clamp_to_domain(vals, u_bound):
     return out, int(np.count_nonzero(np.abs(vals) > u_bound))
 
 
-def _checked_pair(G, h):
-    """G and h as float arrays, or a DimensionError when G's columns do not match h."""
-    G, h = np.asarray(G, dtype=float), np.asarray(h, dtype=float)
-    if G.ndim != 2 or h.ndim != 1 or G.shape[1] != h.shape[0]:
-        raise DimensionError(f"G {G.shape} incompatible with h {h.shape}")
-    return G, h
-
-
 def _updated(est):
     """The estimator's (G, h), or a ParameterError before its first update."""
     if est._h is None:
@@ -296,10 +309,11 @@ class ExactNormEstimator:
 
     def __init__(self, seed=0, u_bound=None):
         self.u_bound = u_bound
-        self._G = self._h = None
+        self._G = None
+        self._h = None
 
     def update(self, G, h):
-        self._G, self._h = _checked_pair(G, h)
+        self._G, self._h = oracle.norm_operands(G, h)
 
     def query(self):
         return float(_clamp_to_domain(oracle.exact_norm(*_updated(self)), self.u_bound)[0])
@@ -314,12 +328,12 @@ class SketchedNormEstimator:
     query() returns ||G R^T R h||^2, a gamma-approximation of ||G h||^2
     with gamma = beta / sqrt(b) for the family's tail parameter beta;
     query_set() returns the per-row sketched inner products squared,
-    ((R g_j) . (R h))^2.  Since R^T R h = K h and (R g_j) . (R h) =
-    g_j^T K h for the Gram K = R^T R, the first update draws R from the
-    seed and keeps only K: n^2 doubles (2 KB at n=16, 32 KB at n=64), more
-    than R's b n only when n > b.  The answers equal the sketch's up to
-    roundoff; R is redrawn when n changes.  Outputs are clamped into the
-    signed domain [-U, U] with tiny nonzero magnitudes pushed up to 1/U.
+    ((R g_j) . (R h))^2 = (g_j^T K h)^2 with the Gram K = R^T R.  Both read
+    R only through K, so the first update draws R from the seed and keeps
+    only K: n^2 doubles (2 KB at n=16, 32 KB at n=64), more than R's b n
+    only when n > b.  The answers are the sketch's up to roundoff; a new n
+    redraws R.  Outputs are clamped into the signed domain [-U, U] with
+    tiny nonzero magnitudes pushed up to 1/U.
     """
 
     def __init__(self, family, b, seed, u_bound=None):
@@ -328,11 +342,12 @@ class SketchedNormEstimator:
         self.seed = int(seed)
         self.u_bound = u_bound
         self._K = None
-        self._G = self._h = None
+        self._G = None
+        self._h = None
         self.overflow_clamps = 0
 
     def update(self, G, h):
-        self._G, self._h = _checked_pair(G, h)
+        self._G, self._h = oracle.norm_operands(G, h)
         n = self._h.shape[0]
         if self._K is None or self._K.shape[0] != n:
             R = generate_sketch(self.family, self.b, n, self.seed).to_dense()

@@ -75,11 +75,9 @@ def _status(name, ok, detail=""):
 
 
 def kron_identity_errors(rng, reps):
-    """Worst error of each Kronecker identity over ``reps`` draws.
-
-    The errors are absolute, except ``inv``'s, which is relative to the
-    largest entry of the Kronecker inverse: A+3I can be nearly singular,
-    and its inverse's roundoff grows with it."""
+    """Worst absolute error of each Kronecker identity over ``reps`` draws;
+    ``inv``'s is relative to the inverse's largest entry, since A+3I can be
+    nearly singular and its inverse's roundoff grows with it."""
     worst = dict.fromkeys(("mixed", "inv", "vec3", "trace", "apply"), 0.0)
     for _ in range(int(reps)):
         A, B, C, D = (rng.standard_normal((3, 3)) for _ in range(4))

@@ -45,23 +45,25 @@ def exact_projection(constraints, W, variant=SYMMETRIC):
     return Q @ Q.T
 
 
+def norm_operands(G, h):
+    """G and h as float arrays, or a DimensionError when G's columns do not match h."""
+    G, h = np.asarray(G, dtype=float), np.asarray(h, dtype=float)
+    if G.ndim != 2 or h.ndim != 1 or G.shape[1] != h.shape[0]:
+        raise DimensionError(f"G {G.shape} incompatible with h {h.shape}")
+    return G, h
+
+
 def exact_norm(G, h):
     """Exact squared norm ||G h||_2^2."""
-    G = np.asarray(G, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if G.ndim != 2 or G.shape[1] != h.shape[0]:
-        raise DimensionError(f"G {G.shape} incompatible with h {h.shape}")
+    G, h = norm_operands(G, h)
     v = G @ h
     return float(v @ v)
 
 
 def exact_set_query(G, h, Q):
     """Exact squared row inner products ((g_j^T h)^2 for j in Q)."""
-    G = np.asarray(G, dtype=float)
-    h = np.asarray(h, dtype=float)
+    G, h = norm_operands(G, h)
     idx = np.asarray(list(Q), dtype=int)
-    if G.ndim != 2 or G.shape[1] != h.shape[0]:
-        raise DimensionError(f"G {G.shape} incompatible with h {h.shape}")
     if idx.size == 0:
         return np.zeros(0)
     if idx.min() < 0 or idx.max() >= G.shape[0]:
