@@ -28,7 +28,8 @@ from .dpcore import (
     round_to_grid,
 )
 from .errors import DimensionError, ParameterError
-from .sketch import generate as generate_sketch
+from .projmaint import _checked_int
+from .sketch import GAUSSIAN, gaussian_gram, generate as generate_sketch
 
 EPS_PM = 0.25
 C_Q = 8.0
@@ -275,9 +276,7 @@ def setquery_step(wrapper, G_t, h_t, Q_t):
     Q_t = [int(j) for j in Q_t]
     if len(Q_t) != wrapper.k:
         raise DimensionError(f"expected |Q_t| = {wrapper.k}, got {len(Q_t)}")
-    n = np.shape(G_t)[0]
-    if not all(0 <= j < n for j in Q_t):
-        raise DimensionError(f"coordinates {Q_t} outside [0, {n})")
+    oracle.set_query_rows(Q_t, np.shape(G_t)[0])
     return _private_step(
         wrapper, G_t, h_t, lambda copy: copy.query_set(Q_t), coords=Q_t
     )
@@ -329,16 +328,16 @@ class SketchedNormEstimator:
     with gamma = beta / sqrt(b) for the family's tail parameter beta;
     query_set() returns the per-row sketched inner products squared,
     ((R g_j) . (R h))^2 = (g_j^T K h)^2 with the Gram K = R^T R.  Both read
-    R only through K, so the first update draws R from the seed and keeps
-    only K: n^2 doubles (2 KB at n=16, 32 KB at n=64), more than R's b n
-    only when n > b.  The answers are the sketch's up to roundoff; a new n
-    redraws R.  Outputs are clamped into the signed domain [-U, U] with
-    tiny nonzero magnitudes pushed up to 1/U.
+    R only through K, which the first update draws from the seed and keeps:
+    n^2 doubles, 2 KB at n=16; a new n redraws it.  A Gaussian copy draws K
+    from R^T R's law in O(n min(n, b)) (``sketch.gaussian_gram``), so its bits
+    differ from ``generate``'s sketch; other families form R^T R from their R.
+    Outputs are clamped into [-U, U], tiny nonzero magnitudes pushed to 1/U.
     """
 
     def __init__(self, family, b, seed, u_bound=None):
         self.family = family
-        self.b = int(b)
+        self.b = _checked_int(b, "b", 1)
         self.seed = int(seed)
         self.u_bound = u_bound
         self._K = None
@@ -350,8 +349,11 @@ class SketchedNormEstimator:
         self._G, self._h = oracle.norm_operands(G, h)
         n = self._h.shape[0]
         if self._K is None or self._K.shape[0] != n:
-            R = generate_sketch(self.family, self.b, n, self.seed).to_dense()
-            self._K = R.T @ R
+            if self.family.tag == GAUSSIAN:
+                self._K = gaussian_gram(self.b, n, self.seed)
+            else:
+                R = generate_sketch(self.family, self.b, n, self.seed).to_dense()
+                self._K = R.T @ R
 
     def _clamp(self, vals):
         vals, overflows = _clamp_to_domain(vals, self.u_bound)
@@ -364,7 +366,7 @@ class SketchedNormEstimator:
 
     def query_set(self, Q):
         G, h = _updated(self)
-        return self._clamp((G[list(Q)] @ (self._K @ h)) ** 2)
+        return self._clamp((G[oracle.set_query_rows(Q, G.shape[0])] @ (self._K @ h)) ** 2)
 
 
 def sketched_norm_estimator(family, b, seed, u_bound=None):

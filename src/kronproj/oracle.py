@@ -60,12 +60,15 @@ def exact_norm(G, h):
     return float(v @ v)
 
 
+def set_query_rows(Q, m):
+    """Q as a list of row indices, or a DimensionError if one is outside [0, m)."""
+    rows = list(Q)
+    if rows and not 0 <= min(rows) <= max(rows) < m:
+        raise DimensionError(f"set-query index out of range [0, {m}): {rows}")
+    return rows
+
+
 def exact_set_query(G, h, Q):
     """Exact squared row inner products ((g_j^T h)^2 for j in Q)."""
     G, h = norm_operands(G, h)
-    idx = np.asarray(list(Q), dtype=int)
-    if idx.size == 0:
-        return np.zeros(0)
-    if idx.min() < 0 or idx.max() >= G.shape[0]:
-        raise DimensionError("set-query index out of range")
-    return (G[idx] @ h) ** 2
+    return (G[set_query_rows(Q, G.shape[0])] @ h) ** 2

@@ -242,6 +242,21 @@ def generate(family, b, n, seed):
     return Sketch(family=family, b=b, n=n, seed=int(seed), R=R)
 
 
+def gaussian_gram(b, n, seed):
+    """Draw K with R^T R's law for a Gaussian b x n sketch R, without R: b K is
+    Wishart_n(b, I), whose Bartlett decomposition (Odell & Feiveson 1966) is
+    T T^T, T n x min(n, b) lower trapezoidal, T[i, i]^2 ~ chi^2(b - i) and N(0, 1)
+    below the diagonal.  K is seeded as in ``generate`` but is not its sketch's Gram."""
+    if b < 1 or n < 1:
+        raise ParameterError("sketch dimensions must be positive")
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
+    r = min(n, b)
+    T = np.zeros((n, r))
+    T[np.tri(n, r, -1, dtype=bool)] = rng.standard_normal(n * r - r * (r + 1) // 2)
+    np.fill_diagonal(T, np.sqrt(rng.chisquare(b - np.arange(r))))
+    return T @ T.T / b
+
+
 @dataclass
 class SketchBatch:
     """A pool of s independent sketches sharing (family, b, n).

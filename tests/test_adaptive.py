@@ -9,7 +9,7 @@ from kronproj import adaptive as ad
 from kronproj import oracle
 from kronproj.dpcore import SignedGeometricGrid
 from kronproj.errors import DimensionError, ParameterError
-from kronproj.sketch import Sketch, SketchFamily, generate
+from kronproj.sketch import Sketch, SketchFamily, gaussian_gram, generate
 
 
 class StubEstimator:
@@ -405,8 +405,7 @@ class TestEstimators:
         rng = np.random.default_rng(6)
         G, h = 2.0 * rng.standard_normal((8, 8)), rng.standard_normal(8)
         est.update(G, h)
-        R = generate(SketchFamily.gaussian(), 16, 8, est.seed).to_dense()
-        raw = (G @ ((R.T @ R) @ h)) ** 2  # the estimator's own formula
+        raw = (G @ (gaussian_gram(16, 8, est.seed) @ h)) ** 2  # the estimator's own formula
         got = est.query_set(range(8))
         assert got.tobytes() == np.array([_scalar_clamp(v, 1.5) for v in raw]).tobytes()
         assert est.overflow_clamps == int(np.sum(raw > 1.5)) > 0
@@ -448,7 +447,7 @@ class TestEstimators:
         npt.assert_array_equal(a.query_set([0, 3]), b.query_set([0, 3]))
 
     def test_sketched_query_set_matches_per_row_form(self):
-        fam = SketchFamily.gaussian()
+        fam = SketchFamily.ams()
         est = ad.sketched_norm_estimator(fam, 64, seed=6)
         rng = np.random.default_rng(2)
         G = rng.standard_normal((8, 8))
@@ -470,18 +469,40 @@ class TestEstimators:
         ids=lambda v: getattr(v, "tag", v),
     )
     def test_gram_form_matches_the_sketch(self, fam, b, n):
-        # the copy keeps only K = R^T R; its answers are the sketch's own
+        # the copy keeps only K = R^T R; its answers are the sketch's own, except
+        # that a Gaussian copy draws K from R^T R's law instead of from R
         est = ad.sketched_norm_estimator(fam, b, seed=11)
         rng = np.random.default_rng(12)
         G, h = rng.standard_normal((n, n)), rng.standard_normal(n)
         est.update(G, h)
-        sk = generate(fam, b, n, est.seed)
-        Rh = sk.apply(h)
-        npt.assert_allclose(est.query(), oracle.exact_norm(G, sk.apply_adjoint(Rh)), rtol=1e-12)
         Q = [0, n // 2, n - 1]
-        want = [(sk.apply(G[j]) @ Rh) ** 2 for j in Q]
-        npt.assert_allclose(est.query_set(Q), want, rtol=1e-12)
+        if fam.tag == "gaussian":
+            Kh = gaussian_gram(b, n, est.seed) @ h
+            want_norm, want_set = oracle.exact_norm(G, Kh), [(G[j] @ Kh) ** 2 for j in Q]
+        else:
+            sk = generate(fam, b, n, est.seed)
+            Rh = sk.apply(h)
+            want_norm = oracle.exact_norm(G, sk.apply_adjoint(Rh))
+            want_set = [(sk.apply(G[j]) @ Rh) ** 2 for j in Q]
+        npt.assert_allclose(est.query(), want_norm, rtol=1e-12)
+        npt.assert_allclose(est.query_set(Q), want_set, rtol=1e-12)
         assert not any(isinstance(v, Sketch) or np.shape(v) == (b, n) for v in vars(est).values())
+
+    @pytest.mark.parametrize("fam", [SketchFamily.gaussian(), SketchFamily.ams()],
+                             ids=lambda f: f.tag)
+    @pytest.mark.parametrize("b", [0, -3, 2.5, "4"])
+    def test_bad_sketch_dimension_refused_at_construction(self, fam, b):
+        with pytest.raises(ParameterError, match="b = .* is not an integer"):
+            ad.sketched_norm_estimator(fam, b, seed=1)
+
+    @pytest.mark.parametrize("make", ESTIMATOR_MAKERS, ids=["exact", "sketched"])
+    def test_set_query_rows_out_of_range_refused(self, make):
+        est = make()
+        est.update(np.arange(9.0).reshape(3, 3), np.ones(3))
+        for j in (-1, 3):
+            with pytest.raises(DimensionError, match="set-query index out of range"):
+                est.query_set([0, j])
+        assert est.query_set([]).shape == (0,)
 
     @pytest.mark.parametrize("make", ESTIMATOR_MAKERS, ids=["exact", "sketched"])
     def test_query_before_update_is_a_parameter_error(self, make):

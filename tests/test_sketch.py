@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from kronproj import sketch as sk
 from kronproj.errors import DimensionError, ParameterError
@@ -333,6 +334,45 @@ class TestFWHT:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(DimensionError):
             sk.fwht(np.ones(6))
+
+
+class TestGaussianGram:
+    DRAWS = 20_000
+    KS_P_MIN = 1e-4  # fixed before any draw was made
+
+    @pytest.mark.parametrize("b, n", [(7, 4), (3, 8)])
+    def test_deterministic_symmetric_rank_min_n_b(self, b, n):
+        K = sk.gaussian_gram(b, n, seed=3)
+        npt.assert_array_equal(K, sk.gaussian_gram(b, n, seed=3))
+        npt.assert_array_equal(K, K.T)  # exactly, as a Gram formed from R is
+        assert np.linalg.matrix_rank(K) == min(n, b)
+        with pytest.raises(ParameterError):
+            sk.gaussian_gram(0, n, seed=3)
+
+    @pytest.mark.parametrize("b, n", [(8, 4), (4, 8)])
+    def test_law_is_that_of_the_sketch_gram(self, b, n):
+        N = self.DRAWS
+        Ks = np.stack([sk.gaussian_gram(b, n, s) for s in range(N)])
+        # b K ~ Wishart_n(b, I): first and second moments, each within 5 SE
+        d = Ks[:, np.arange(n), np.arange(n)]
+        i, j = np.triu_indices(n, 1)
+        for name, x, want in [
+            ("K", Ks.reshape(N, -1), np.eye(n).ravel()),
+            ("K_ij^2", Ks[:, i, j] ** 2, 1.0 / b),
+            ("K_ii^2", d**2, 1.0 + 2.0 / b),
+            ("K_ii K_jj", d[:, i] * d[:, j], 1.0),
+        ]:
+            z = (x.mean(axis=0) - want) / (x.std(axis=0, ddof=1) / np.sqrt(N))
+            assert np.abs(z).max() <= 5.0, (name, z)
+        # h^T K g against (R h).(R g) from explicit sketches on disjoint seeds
+        rng = np.random.default_rng(0)
+        h, g = rng.standard_normal(n), rng.standard_normal(n)
+        R = np.stack([
+            sk.generate(sk.SketchFamily.gaussian(), b, n, s).to_dense()
+            for s in range(N, N + N // 2)
+        ])
+        p = scipy.stats.ks_2samp(Ks @ g @ h, (R @ h * (R @ g)).sum(axis=1)).pvalue
+        assert p >= self.KS_P_MIN, p
 
 
 class TestSketchBatch:
